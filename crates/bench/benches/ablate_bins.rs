@@ -2,8 +2,9 @@
 //!
 //! The paper chooses 5000 bins and per-block atomics over per-thread
 //! private histograms because bins ≫ threads. This bench sweeps the bin
-//! count through Step 1: small counts are zero-cost to clear but coarse;
-//! large counts stress the clearing loop and cache footprint.
+//! count through Step 1. The device kernel clears and writes back every
+//! bin, so its counted work grows with the bin count; the host emits only
+//! each tile's non-zero runs, so its wall time should stay nearly flat.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use zonal_bench::SEED;

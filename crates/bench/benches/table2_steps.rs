@@ -8,7 +8,7 @@ use zonal_core::pairing::pair_tiles;
 use zonal_core::step1::per_tile_histograms;
 use zonal_core::step3::aggregate_inside;
 use zonal_core::step4::refine_intersect;
-use zonal_core::ZoneHistograms;
+use zonal_core::ZoneRows;
 use zonal_gpusim::{DeviceSpec, WorkCounter};
 use zonal_raster::srtm::SyntheticSrtm;
 use zonal_raster::{TileData, TileSource};
@@ -33,6 +33,8 @@ fn bench_steps(c: &mut Criterion) {
     let pairs = pair_tiles(&zones.layer, &grid);
     let wc = WorkCounter::new();
     let hists = per_tile_histograms(&tiles, cfg.n_bins, &wc, &wc);
+    // Rows for the zones the partition pairs with, as the pipeline stores.
+    let touched = pairs.touched_zones(zones.len());
 
     let mut g = c.benchmark_group("table2_steps");
     g.sample_size(10);
@@ -56,35 +58,27 @@ fn bench_steps(c: &mut Criterion) {
 
     g.bench_function("step3_aggregate", |b| {
         b.iter(|| {
-            let zone_buf = ZoneHistograms::device_buffer(zones.len(), cfg.n_bins);
-            let agg: Vec<(u32, &[u32])> = pairs
+            let zone_rows = ZoneRows::new(&touched, cfg.n_bins);
+            let agg: Vec<(u32, &[(u16, u32)])> = pairs
                 .inside
                 .iter_pairs()
-                .map(|(pid, tid)| (pid, hists[tid as usize].bins.as_slice()))
+                .map(|(pid, tid)| (pid, hists[tid as usize].runs.as_slice()))
                 .collect();
-            aggregate_inside(&agg, &zone_buf, cfg.n_bins, &wc);
-            zone_buf.load(0)
+            aggregate_inside(&agg, &zone_rows, &wc);
+            zone_rows.into_histograms().total()
         })
     });
 
     g.bench_function("step4_refine", |b| {
         b.iter(|| {
-            let zone_buf = ZoneHistograms::device_buffer(zones.len(), cfg.n_bins);
+            let zone_rows = ZoneRows::new(&touched, cfg.n_bins);
             let rp: Vec<(u32, u32, &TileData)> = pairs
                 .intersect
                 .iter_pairs()
                 .map(|(pid, tid)| (pid, tid, &tiles[tid as usize]))
                 .collect();
-            refine_intersect(
-                &rp,
-                &grid,
-                &zones.flat,
-                &zone_buf,
-                cfg.n_bins,
-                cfg.representative,
-                &wc,
-            )
-            .cells_tested
+            refine_intersect(&rp, &grid, &zones.flat, &zone_rows, cfg.representative, &wc)
+                .cells_tested
         })
     });
 

@@ -26,7 +26,7 @@
 
 use crate::comm::{Cluster, NetworkModel};
 use crate::error::{ClusterError, ClusterResult};
-use crate::fault::{checksum_u64s, FaultInjector, MsgAction};
+use crate::fault::{corrupted, FaultInjector, MsgAction};
 use crate::imbalance::ImbalanceReport;
 use crate::node::{name_rank_lane, NodeReport};
 use crate::run::{ClusterConfig, ClusterRun};
@@ -46,7 +46,7 @@ enum ToMaster {
     Finished {
         rank: usize,
         hists: ZoneHistograms,
-        /// Sender-side FNV-1a over the histogram payload.
+        /// Sender-side [`ZoneHistograms::checksum`] of the payload.
         checksum: u64,
         /// Injected interconnect delay (simulated seconds).
         delay_secs: f64,
@@ -206,7 +206,7 @@ pub fn run_dynamic(cfg: &ClusterConfig, zones: &Zones) -> ClusterResult<ClusterR
                         retransmits += 1;
                         continue;
                     }
-                    let got = checksum_u64s(h.flat());
+                    let got = h.checksum();
                     if got != checksum {
                         zonal_obs::instant("corrupt payload detected", &[("from", rank as u64)]);
                         if !cfg.recovery.recovers() {
@@ -409,7 +409,7 @@ fn worker_body(
         );
         return;
     }
-    let checksum = checksum_u64s(local.flat());
+    let checksum = local.checksum();
     let wall_secs = t0.elapsed().as_secs_f64();
     let mk = |hists: ZoneHistograms, checksum: u64, delay_secs: f64| ToMaster::Finished {
         rank: widx,
@@ -440,12 +440,7 @@ fn worker_body(
         }
         MsgAction::Corrupt => {
             zonal_obs::instant("message corrupted", &[("rank", widx as u64)]);
-            let mut flat = local.flat().to_vec();
-            if let Some(w) = flat.first_mut() {
-                *w ^= 0x1;
-            }
-            let corrupted = ZoneHistograms::from_flat(local.n_zones(), local.n_bins(), flat);
-            let _ = comm.try_send(0, mk(corrupted, checksum, 0.0));
+            let _ = comm.try_send(0, mk(corrupted(&local), checksum, 0.0));
         }
     }
     // Hold the clean result until the master acknowledges it.

@@ -17,6 +17,7 @@
 use crate::error::{ClusterError, ClusterResult};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
+use zonal_core::ZoneHistograms;
 
 /// A fault applied to one worker's result message.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -235,17 +236,16 @@ impl FaultInjector {
     }
 }
 
-/// FNV-1a over little-endian words — the checksum carried by worker
-/// result messages so the master can detect payload corruption.
-pub fn checksum_u64s(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+/// A result payload as [`MsgAction::Corrupt`] delivers it: the low bit of
+/// zone 0's bin 0 flipped. A payload with no stored rows (a rank that
+/// owned no partitions) gains a row, which the checksum covers just as it
+/// covers counts, so the fault is caught on every payload.
+pub(crate) fn corrupted(hists: &ZoneHistograms) -> ZoneHistograms {
+    let mut out = hists.clone();
+    if out.n_zones() > 0 && out.n_bins() > 0 {
+        out.zone_mut(0)[0] ^= 0x1;
     }
-    h
+    out
 }
 
 /// Minimal deterministic generator for plan construction.
@@ -327,12 +327,22 @@ mod tests {
     }
 
     #[test]
-    fn checksum_detects_single_bit_flip() {
-        let data: Vec<u64> = (0..1000).map(|i| i * 31).collect();
-        let base = checksum_u64s(&data);
-        let mut flipped = data.clone();
-        flipped[500] ^= 1;
-        assert_ne!(base, checksum_u64s(&flipped));
-        assert_eq!(base, checksum_u64s(&data));
+    fn corruption_changes_the_checksum() {
+        let mut h = ZoneHistograms::new(3, 4);
+        h.add(2, 1, 7);
+        assert_ne!(corrupted(&h).checksum(), h.checksum());
+        let empty = ZoneHistograms::new(3, 4);
+        assert_ne!(
+            corrupted(&empty).checksum(),
+            empty.checksum(),
+            "row-less payload"
+        );
+        let mut odd = ZoneHistograms::new(3, 4);
+        odd.add(0, 0, 1);
+        assert_ne!(
+            corrupted(&odd).checksum(),
+            odd.checksum(),
+            "stored odd count"
+        );
     }
 }

@@ -41,7 +41,7 @@ pub mod schedule;
 pub use comm::{Cluster, Comm, NetworkModel};
 pub use dynamic::run_dynamic;
 pub use error::{ClusterError, ClusterResult, RecoveryPolicy};
-pub use fault::{checksum_u64s, FaultInjector, FaultPlan, MsgFault};
+pub use fault::{FaultInjector, FaultPlan, MsgFault};
 pub use imbalance::ImbalanceReport;
 pub use node::{NodeInput, NodeReport};
 pub use run::{run_cluster, run_scaling, Assignment, ClusterConfig, ClusterRun, ScalingPoint};

@@ -160,6 +160,7 @@ mod tests {
         assert_eq!(report.n_cells, 0);
         assert_eq!(result.hists.total(), 0);
         assert_eq!(result.hists.n_zones(), zones.len());
+        assert_eq!(result.hists.n_rows(), 0, "an empty share stores no rows");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::comm::{Cluster, NetworkModel};
 use crate::error::{ClusterError, ClusterResult, RecoveryPolicy};
-use crate::fault::{checksum_u64s, FaultInjector, FaultPlan, MsgAction};
+use crate::fault::{corrupted, FaultInjector, FaultPlan, MsgAction};
 use crate::imbalance::ImbalanceReport;
 use crate::node::{name_rank_lane, run_node, NodeInput, NodeReport};
 use crate::schedule::reassignment_makespan;
@@ -161,8 +161,8 @@ pub struct ClusterRun {
 struct WorkerMsg {
     report: NodeReport,
     hists: ZoneHistograms,
-    /// FNV-1a over the histogram payload, computed by the sender; the
-    /// master recomputes it to detect in-flight corruption.
+    /// [`ZoneHistograms::checksum`] of the payload, computed by the
+    /// sender; the master recomputes it to detect in-flight corruption.
     checksum: u64,
     /// Injected interconnect delay carried by this message (simulated).
     delay_secs: f64,
@@ -170,7 +170,7 @@ struct WorkerMsg {
 
 impl WorkerMsg {
     fn clean(report: NodeReport, hists: ZoneHistograms) -> Self {
-        let checksum = checksum_u64s(hists.flat());
+        let checksum = hists.checksum();
         WorkerMsg {
             report,
             hists,
@@ -382,17 +382,11 @@ fn worker_body(
             zonal_obs::instant("message corrupted", &[("rank", rank as u64)]);
             // Payload mangled in flight; the checksum still describes the
             // original, so the master will catch the mismatch.
-            let mut flat = clean.hists.flat().to_vec();
-            if let Some(w) = flat.first_mut() {
-                *w ^= 0x1;
-            }
-            let corrupted =
-                ZoneHistograms::from_flat(clean.hists.n_zones(), clean.hists.n_bins(), flat);
             let _ = comm.try_send(
                 0,
                 WorkerMsg {
                     report: clean.report.clone(),
-                    hists: corrupted,
+                    hists: corrupted(&clean.hists),
                     checksum: clean.checksum,
                     delay_secs: 0.0,
                 },
@@ -444,7 +438,7 @@ fn master_gather(
                     state.retransmits += 1;
                     continue;
                 }
-                let got = checksum_u64s(msg.hists.flat());
+                let got = msg.hists.checksum();
                 if got != msg.checksum {
                     zonal_obs::instant("corrupt payload detected", &[("from", from as u64)]);
                     if !cfg.recovery.recovers() {

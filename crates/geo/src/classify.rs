@@ -9,6 +9,7 @@
 //! what this module is.
 
 use crate::mbr::Mbr;
+use crate::pip::crosses_ray;
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::segment::segment_intersects_box;
@@ -75,6 +76,63 @@ pub fn classify_box(poly: &Polygon, tile: &Mbr) -> TileRelation {
     }
     // No boundary crosses the tile: the whole tile is on one side.
     if poly.contains(tile.center()) {
+        TileRelation::Inside
+    } else {
+        TileRelation::Outside
+    }
+}
+
+/// The edges of one polygon whose y-extent meets a horizontal band — all
+/// that [`classify_box`] can see of the polygon for a box inside the band.
+/// An edge crossing the box spans part of the box's y-range, and an edge
+/// the center's +x ray crosses straddles the center's y.
+#[derive(Debug, Clone, Default)]
+pub struct BandEdges {
+    /// Edges of rings with at least three vertices (the rings the
+    /// ray-crossing test counts) first, then those of degenerate rings.
+    edges: Vec<(Point, Point)>,
+    n_ring_edges: usize,
+}
+
+impl BandEdges {
+    /// Refill with the edges of `poly` whose y-extent meets
+    /// `[min_y, max_y]`.
+    pub fn fill(&mut self, poly: &Polygon, min_y: f64, max_y: f64) {
+        let meets = |&(a, b): &(Point, Point)| a.y.min(b.y) <= max_y && a.y.max(b.y) >= min_y;
+        self.edges.clear();
+        for ring in poly.rings().iter().filter(|r| r.len() >= 3) {
+            self.edges.extend(ring.edges().filter(meets));
+        }
+        self.n_ring_edges = self.edges.len();
+        for ring in poly.rings().iter().filter(|r| r.len() < 3) {
+            self.edges.extend(ring.edges().filter(meets));
+        }
+    }
+}
+
+/// [`classify_box`] for a box inside the band `band` was filled for, in
+/// time proportional to the band's edges rather than the polygon's. The
+/// result is identical: the edges left out can neither cross the box nor
+/// the center's ray. Step 2 fills one band per tile row.
+pub fn classify_box_in_band(poly: &Polygon, band: &BandEdges, tile: &Mbr) -> TileRelation {
+    if tile.is_empty() || !poly.mbr().intersects(tile) {
+        return TileRelation::Outside;
+    }
+    // The x-extent check is the box test's own quick reject, hoisted so
+    // the many edges left or right of the box cost two compares.
+    if band.edges.iter().any(|&(a, b)| {
+        a.x.min(b.x) <= tile.max_x
+            && a.x.max(b.x) >= tile.min_x
+            && segment_intersects_box(a, b, tile)
+    }) {
+        return TileRelation::Intersect;
+    }
+    let c = tile.center();
+    let crossings = band.edges[..band.n_ring_edges]
+        .iter()
+        .filter(|&&(a, b)| crosses_ray(c, a, b))
+        .count();
+    if poly.mbr().contains_point(c) && crossings % 2 == 1 {
         TileRelation::Inside
     } else {
         TileRelation::Outside
@@ -222,5 +280,37 @@ mod tests {
                 assert_eq!(exact, sampled, "tile {tile:?}");
             }
         }
+    }
+
+    #[test]
+    fn band_classification_matches_full_classification() {
+        // Annulus plus a degenerate two-vertex ring, on a grid whose rows
+        // hit vertices and edges exactly: every tile must classify the
+        // same from its row's band as from the whole polygon.
+        let poly = Polygon::new(vec![
+            Ring::circle(Point::new(5.0, 5.0), 3.0, 40),
+            Ring::rect(4.0, 4.0, 6.0, 6.0),
+            Ring::new(vec![Point::new(1.0, 2.0), Point::new(9.0, 2.5)]),
+        ]);
+        let mut band = BandEdges::default();
+        let mut seen = [0usize; 3];
+        for step in [0.5, 0.7, 1.0] {
+            let n = (12.0 / step) as usize;
+            for ty in 0..n {
+                let (y0, y1) = (-1.0 + ty as f64 * step, -1.0 + (ty + 1) as f64 * step);
+                band.fill(&poly, y0, y1);
+                for tx in 0..n {
+                    let x0 = -1.0 + tx as f64 * step;
+                    let tile = Mbr::new(x0, y0, x0 + step, y1);
+                    let full = classify_box(&poly, &tile);
+                    assert_eq!(classify_box_in_band(&poly, &band, &tile), full, "{tile:?}");
+                    seen[full.code() as usize] += 1;
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "all three relations occur: {seen:?}"
+        );
     }
 }

@@ -36,7 +36,7 @@ pub mod segment;
 pub mod simplify;
 pub mod wkt;
 
-pub use classify::{classify_box, TileRelation};
+pub use classify::{classify_box, classify_box_in_band, BandEdges, TileRelation};
 pub use counties::{CountyConfig, CountyLayerStats};
 pub use dataset::PolygonLayer;
 pub use flat::FlatPolygons;

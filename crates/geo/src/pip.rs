@@ -13,6 +13,13 @@
 use crate::point::Point;
 use crate::ring::Ring;
 
+/// Whether the +x ray from `p` crosses edge `a → b` under the half-open
+/// vertex rule: one step of [`point_in_ring`].
+#[inline]
+pub(crate) fn crosses_ray(p: Point, a: Point, b: Point) -> bool {
+    ((a.y <= p.y) != (b.y <= p.y)) && (p.x < (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x)
+}
+
 /// Ray-crossing test against a single ring (Franklin's algorithm).
 ///
 /// Boundary semantics are the half-open rule: edges on the "lower" side of
@@ -27,8 +34,7 @@ pub fn point_in_ring(p: Point, ring: &Ring) -> bool {
     let mut inside = false;
     let mut j = n - 1;
     for i in 0..n {
-        let (a, b) = (pts[j], pts[i]);
-        if ((a.y <= p.y) != (b.y <= p.y)) && (p.x < (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x) {
+        if crosses_ray(p, pts[j], pts[i]) {
             inside = !inside;
         }
         j = i;

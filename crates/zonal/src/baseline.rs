@@ -63,6 +63,17 @@ fn zone_histogram_pip(
     bins
 }
 
+/// Store per-polygon histograms, one row per polygon with any count.
+fn collect_rows(zones: Vec<Vec<u64>>, n_bins: usize) -> ZoneHistograms {
+    let mut out = ZoneHistograms::new(zones.len(), n_bins);
+    for (pid, bins) in zones.iter().enumerate() {
+        if bins.iter().any(|&c| c > 0) {
+            out.zone_mut(pid).copy_from_slice(bins);
+        }
+    }
+    out
+}
+
 /// Naive baseline: a point-in-polygon test for **every** cell in every
 /// polygon MBB, serially.
 pub fn full_pip_serial(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
@@ -87,11 +98,7 @@ pub fn full_pip_parallel(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -
         .into_par_iter()
         .map(|pid| zone_histogram_pip(raster, layer, pid, n_bins))
         .collect();
-    let mut flat = Vec::with_capacity(layer.len() * n_bins);
-    for z in zones {
-        flat.extend(z);
-    }
-    ZoneHistograms::from_flat(layer.len(), n_bins, flat)
+    collect_rows(zones, n_bins)
 }
 
 /// Naive baseline generalized over the cell representative point
@@ -200,11 +207,7 @@ pub fn scanline_parallel(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -
         .into_par_iter()
         .map(|pid| zone_histogram_scanline(raster, layer, pid, n_bins))
         .collect();
-    let mut flat = Vec::with_capacity(layer.len() * n_bins);
-    for z in zones {
-        flat.extend(z);
-    }
-    ZoneHistograms::from_flat(layer.len(), n_bins, flat)
+    collect_rows(zones, n_bins)
 }
 
 #[cfg(test)]

@@ -19,8 +19,9 @@ pub struct PipelineConfig {
     /// Simulated device the cost model prices kernels on.
     pub device: DeviceSpec,
     /// Number of tile rows decoded and processed per streaming strip.
-    /// Memory high-water mark is `strip_rows × tiles_x × n_bins × 4` bytes
-    /// of per-tile histograms.
+    /// A strip holds `strip_rows × tiles_x` decoded tiles and their
+    /// histogram runs (at most one 8-byte run per cell), so host memory
+    /// per strip is proportional to its cells, not to `n_bins`.
     pub strip_rows: usize,
     /// Maximum strips in flight in the streaming executor: the decode
     /// stage may run this many strips ahead of compute, bounding host

@@ -24,8 +24,9 @@
 //! the histograms.
 //!
 //! The pipeline streams tiles in row strips, so memory stays bounded by
-//! `strip_tiles × n_bins` regardless of raster size — the same reason the
-//! paper processes its 20-billion-cell raster as 36 sub-rasters.
+//! the strip's cells plus one `n_bins` row per zone the partition touches,
+//! regardless of raster size — the same reason the paper processes its
+//! 20-billion-cell raster as 36 sub-rasters.
 
 pub mod baseline;
 pub mod config;
@@ -46,7 +47,7 @@ pub mod weighted;
 pub mod zone_cluster;
 
 pub use config::PipelineConfig;
-pub use hist::ZoneHistograms;
+pub use hist::{ZoneHistograms, ZoneRows};
 pub use multiband::{run_bands, MultiBandResult};
 pub use pairing::{pair_tiles, pair_tiles_quadtree, GroupedPairs, PairTable};
 pub use pipeline::{run_partition, run_partitions, ZonalResult};

@@ -60,18 +60,21 @@ impl MultiBandResult {
     }
 
     /// Stack all bands into one histogram set whose bin axis is the bands
-    /// concatenated (`n_bins_total = Σ band bins`). Distance measures over
+    /// concatenated (`n_bins_total = Σ band bins`, at most
+    /// [`crate::hist::MAX_BINS`]). Distance measures over
     /// the result compare zones across every band at once.
     pub fn concat_bands(&self) -> ZoneHistograms {
         let n_zones = self.n_zones();
         let total_bins: usize = self.bands.iter().map(ZoneHistograms::n_bins).sum();
-        let mut flat = Vec::with_capacity(n_zones * total_bins);
-        for z in 0..n_zones {
-            for band in &self.bands {
-                flat.extend_from_slice(band.zone(z));
+        let mut out = ZoneHistograms::new(n_zones, total_bins);
+        let mut offset = 0;
+        for band in &self.bands {
+            for (z, row) in band.rows() {
+                out.zone_mut(z)[offset..offset + row.len()].copy_from_slice(row);
             }
+            offset += band.n_bins();
         }
-        ZoneHistograms::from_flat(n_zones, total_bins, flat)
+        out
     }
 }
 

@@ -14,7 +14,7 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use zonal_geo::{classify_box, PolygonLayer, TileRelation};
+use zonal_geo::{classify_box, classify_box_in_band, BandEdges, PolygonLayer, TileRelation};
 use zonal_gpusim::primitives::{
     exclusive_scan, run_length_encode, stable_partition, stable_sort_by_key,
 };
@@ -90,6 +90,16 @@ impl PairTable {
     pub fn n_candidates(&self) -> u64 {
         self.inside.n_pairs() as u64 + self.intersect.n_pairs() as u64 + self.n_outside
     }
+
+    /// Which of a layer's `n_zones` zones have an inside or intersect
+    /// pair: the only zones Steps 3 and 4 address.
+    pub fn touched_zones(&self, n_zones: usize) -> Vec<bool> {
+        let mut touched = vec![false; n_zones];
+        for &pid in self.inside.pid_v.iter().chain(&self.intersect.pid_v) {
+            touched[pid as usize] = true;
+        }
+        touched
+    }
 }
 
 /// Run Step 2 with a quadtree polygon index instead of grid-file MBB
@@ -139,9 +149,16 @@ pub fn pair_tiles(layer: &PolygonLayer, grid: &TileGrid) -> PairTable {
         .map(|(pid, poly)| {
             let mut out = Vec::new();
             if let Some((xs, ys)) = grid.tiles_overlapping(&poly.mbr()) {
+                // A tile row shares one y-range: classify its tiles
+                // against only the edges that reach it.
+                let mut band = BandEdges::default();
                 for ty in ys {
+                    let row = grid.tile_mbr(*xs.start(), ty);
+                    band.fill(poly, row.min_y, row.max_y);
                     for tx in xs.clone() {
-                        let rel = classify_box(poly, &grid.tile_mbr(tx, ty));
+                        let tile = grid.tile_mbr(tx, ty);
+                        debug_assert!(tile.min_y == row.min_y && tile.max_y == row.max_y);
+                        let rel = classify_box_in_band(poly, &band, &tile);
                         out.push((pid as u32, grid.tile_id(tx, ty) as u32, rel.code()));
                     }
                 }

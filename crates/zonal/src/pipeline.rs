@@ -20,7 +20,7 @@
 //! the memory high-water mark.
 
 use crate::config::PipelineConfig;
-use crate::hist::ZoneHistograms;
+use crate::hist::{ZoneHistograms, ZoneRows};
 use crate::pairing::{pair_tiles, PairTable};
 use crate::step1::per_tile_histograms;
 use crate::step3::aggregate_inside;
@@ -152,7 +152,6 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         grid.transform().sx,
         expected_cells,
     );
-    let n_zones = zones.len();
     let n_bins = cfg.n_bins;
 
     let mut timings = PipelineTimings::new(cfg.device);
@@ -183,7 +182,8 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         intersect_by_strip[strip_of(tid)].push((pid, tid));
     }
 
-    let zone_buf = ZoneHistograms::device_buffer(n_zones, n_bins);
+    // `his_d_polygon` rows only for the zones this partition pairs with.
+    let zone_rows = ZoneRows::new(&pairs.touched_zones(zones.len()), n_bins);
 
     // ----- Decode stage (Step 0): one strip, pure function of the source.
     let decode_strip = |strip: usize| -> DecodedStrip {
@@ -260,11 +260,11 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
 
         // ----- Step 3: aggregate inside tiles ------------------------------
         let t3 = Instant::now();
-        let agg_pairs: Vec<(u32, &[u32])> = inside_by_strip[d.strip]
+        let agg_pairs: Vec<(u32, &[(u16, u32)])> = inside_by_strip[d.strip]
             .iter()
-            .map(|&(pid, tid)| (pid, tile_hists[tid as usize - d.first_tid].bins.as_slice()))
+            .map(|&(pid, tid)| (pid, tile_hists[tid as usize - d.first_tid].runs.as_slice()))
             .collect();
-        aggregate_inside(&agg_pairs, &zone_buf, n_bins, &s3_fixed);
+        aggregate_inside(&agg_pairs, &zone_rows, &s3_fixed);
         timings.steps[3].wall_secs += t3.elapsed().as_secs_f64();
 
         // ----- Step 4: refine boundary tiles -------------------------------
@@ -277,8 +277,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             &ref_pairs,
             grid,
             &zones.flat,
-            &zone_buf,
-            n_bins,
+            &zone_rows,
             cfg.representative,
             &s4_cell,
         );
@@ -351,7 +350,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     // once per intersecting polygon, exceeding the partition's cell count.
     pip_avoided.add(counts.n_cells.saturating_sub(counts.pip_cells_tested));
 
-    let hists = ZoneHistograms::from_flat(n_zones, n_bins, zone_buf.into_vec());
+    let hists = zone_rows.into_histograms();
     timings.raster_input_bytes = counts.encoded_bytes;
     timings.fixed_input_bytes = zones.device_bytes();
     timings.output_bytes = hists.output_bytes();
@@ -661,6 +660,50 @@ mod tests {
         merged.merge(&run_partition(&cfg, &zones, &top.tile_source(&grid_t)));
         assert_eq!(merged.hists, whole.hists);
         assert_eq!(merged.counts.n_cells, whole.counts.n_cells);
+    }
+
+    #[test]
+    fn counted_bin_work_is_analytic() {
+        // The host adds only non-zero runs, but Steps 1 and 3 still charge
+        // the kernels' full bin axis: n_bins zeroed and written back per
+        // tile, and n_bins read + RMW per inside pair.
+        let (zones, raster, grid) = simple_setup();
+        let n_bins = 5000u64;
+        let cfg = PipelineConfig::test().with_bins(n_bins as usize);
+        let r = run_partition(&cfg, &zones, &raster.tile_source(&grid));
+        assert!(r.counts.inside_pairs > 0);
+        assert_eq!(
+            r.timings.steps[1].fixed_work.coalesced_bytes,
+            r.counts.n_tiles * n_bins * 8
+        );
+        assert_eq!(
+            r.timings.steps[3].fixed_work.coalesced_bytes,
+            r.counts.inside_pairs * n_bins * 12
+        );
+        assert_eq!(r.timings.output_bytes, zones.len() as u64 * n_bins * 4);
+    }
+
+    #[test]
+    fn stores_rows_only_for_touched_zones() {
+        // Four zones, two of them off the raster: exactly the two the
+        // partition pairs with get rows, and the others read as zeros.
+        let (_, raster, grid) = simple_setup();
+        let zones = Zones::new(PolygonLayer::from_polygons(vec![
+            Polygon::rect(10.0, 10.0, 11.0, 11.0),
+            Polygon::rect(0.0, 0.0, 2.0, 4.0),
+            Polygon::rect(-5.0, -5.0, -4.0, -4.0),
+            Polygon::rect(2.0, 0.0, 4.0, 4.0),
+        ]));
+        let cfg = PipelineConfig::test().with_bins(8);
+        let r = run_partition(&cfg, &zones, &raster.tile_source(&grid));
+        assert_eq!(r.hists.n_zones(), 4);
+        assert_eq!(r.hists.n_rows(), 2);
+        let stored: Vec<usize> = r.hists.rows().map(|(z, _)| z).collect();
+        assert_eq!(stored, vec![1, 3]);
+        assert_eq!(r.hists.zone(0), &[0; 8]);
+        assert_eq!(r.hists.get(1, 0), 400);
+        assert_eq!(r.hists.get(3, 3), 400);
+        assert_eq!(r.hists.total(), 1600);
     }
 
     #[test]

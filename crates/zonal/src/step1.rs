@@ -8,7 +8,16 @@
 //! [`crate::simt::cell_aggr_kernel`], where the SIMT tests (and, under the
 //! `sanitize` feature, the kernel sanitizer) exercise its barrier and
 //! atomic structure.
+//!
+//! The kernel zeroes `n_bins` bins per tile because a full-resolution
+//! tile holds up to 129,600 cells; a coarser tile holds far fewer cells
+//! than bins. The host therefore emits each tile's histogram as its
+//! sorted non-zero `(bin, count)` runs, counting into a per-thread
+//! `n_bins` scratch and resetting only the bins it touched, so host work
+//! is proportional to cells. The counted device work is still the
+//! kernel's: `n_bins` zeroed and written back per tile.
 
+use std::cell::RefCell;
 use zonal_gpusim::exec;
 use zonal_gpusim::WorkCounter;
 use zonal_raster::TileData;
@@ -16,13 +25,53 @@ use zonal_raster::TileData;
 /// Per-tile histogram plus its cell accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileHistogram {
-    /// Bin counts (`n_bins` entries). `u32` suffices: a 360×360 tile has
-    /// 129,600 cells.
-    pub bins: Vec<u32>,
+    /// The tile's non-zero bins as `(bin, count)` runs in ascending bin
+    /// order; every other bin of the `n_bins` is zero. `u32` counts
+    /// suffice: a 360×360 tile has 129,600 cells.
+    pub runs: Vec<(u16, u32)>,
     /// Cells whose value landed in a bin.
     pub valid_cells: u64,
     /// Cells skipped (no-data or ≥ `n_bins`).
     pub skipped_cells: u64,
+}
+
+/// A thread's bin counters, all zero between tiles, and the bins the
+/// current tile has touched.
+#[derive(Default)]
+struct Scratch {
+    counts: Vec<u32>,
+    touched: Vec<u16>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// One tile's runs, counted in the calling thread's scratch.
+fn tile_runs(values: &[u16], n_bins: usize) -> Vec<(u16, u32)> {
+    SCRATCH.with(|s| {
+        let Scratch { counts, touched } = &mut *s.borrow_mut();
+        if counts.len() < n_bins {
+            counts.resize(n_bins, 0);
+        }
+        // Stride over cells, one increment per in-range cell (Fig. 2
+        // lines 6–11). Within a block the bins are exclusively owned, so
+        // the atomic is realized as a plain add.
+        for &v in values {
+            if (v as usize) < n_bins {
+                let c = &mut counts[v as usize];
+                if *c == 0 {
+                    touched.push(v);
+                }
+                *c += 1;
+            }
+        }
+        touched.sort_unstable();
+        touched
+            .drain(..)
+            .map(|v| (v, std::mem::take(&mut counts[v as usize])))
+            .collect()
+    })
 }
 
 /// Compute per-tile histograms for a batch of decoded tiles (one strip).
@@ -45,23 +94,12 @@ pub fn per_tile_histograms(
     let mut span = zonal_obs::span("step1: per-tile histograms");
     let hists = exec::launch_map(tiles.len(), |b| {
         let tile = &tiles[b];
-        // Zero histogram bins (Fig. 2 lines 2–4).
-        let mut bins = vec![0u32; n_bins];
-        let mut valid = 0u64;
-        // Stride over cells, one atomicAdd per in-range cell (lines 6–11).
-        // Within a block the bins are exclusively owned, so the atomic is
-        // realized as a plain add; blocks never share a tile histogram.
-        for &v in &tile.values {
-            if (v as usize) < n_bins {
-                bins[v as usize] += 1;
-                valid += 1;
-            }
-        }
-        let total = tile.values.len() as u64;
+        let runs = tile_runs(&tile.values, n_bins);
+        let valid: u64 = runs.iter().map(|&(_, c)| c as u64).sum();
         TileHistogram {
-            bins,
+            runs,
             valid_cells: valid,
-            skipped_cells: total - valid,
+            skipped_cells: tile.values.len() as u64 - valid,
         }
     });
 
@@ -72,7 +110,8 @@ pub fn per_tile_histograms(
     cell_work.add_coalesced(n_cells * 2);
     cell_work.add_flops(n_cells);
     cell_work.add_atomics(n_valid);
-    // Tile-proportional work: zeroing and writing out `n_bins` u32 per tile.
+    // Tile-proportional work: zeroing and writing out `n_bins` u32 per tile
+    // (Fig. 2 lines 2–4 and the write-back), whatever the host stores.
     fixed_work.add_coalesced(tiles.len() as u64 * n_bins as u64 * 4 * 2);
     fixed_work.add_flops(tiles.len() as u64 * n_bins as u64);
     fixed_work.add_launch();
@@ -97,7 +136,7 @@ mod tests {
         let tile = TileData::new(vec![0, 1, 1, 2, 2, 2], 2, 3);
         let (cw, fw) = wc();
         let h = &per_tile_histograms(std::slice::from_ref(&tile), 4, &cw, &fw)[0];
-        assert_eq!(h.bins, vec![1, 2, 3, 0]);
+        assert_eq!(h.runs, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(h.valid_cells, 6);
         assert_eq!(h.skipped_cells, 0);
     }
@@ -108,12 +147,10 @@ mod tests {
         let (cw, fw) = wc();
         let h = &per_tile_histograms(std::slice::from_ref(&tile), 10, &cw, &fw)[0];
         assert_eq!(
-            h.bins.iter().sum::<u32>(),
-            2,
+            h.runs,
+            vec![(0, 1), (5, 1)],
             "only values 0 and 5 are in range"
         );
-        assert_eq!(h.bins[0], 1);
-        assert_eq!(h.bins[5], 1);
         assert_eq!(h.valid_cells, 2);
         assert_eq!(h.skipped_cells, 2);
     }
@@ -126,10 +163,15 @@ mod tests {
         assert_eq!(hists.len(), 20);
         for (k, h) in hists.iter().enumerate() {
             if k < 16 {
-                assert_eq!(h.bins[k], 16, "tile {k} holds sixteen cells of value {k}");
+                assert_eq!(
+                    h.runs,
+                    vec![(k as u16, 16)],
+                    "tile {k} holds sixteen cells of value {k}"
+                );
                 assert_eq!(h.valid_cells, 16);
             } else {
-                assert_eq!(h.valid_cells, 0, "tile {k}'s value is out of range");
+                assert!(h.runs.is_empty(), "tile {k}'s value is out of range");
+                assert_eq!(h.valid_cells, 0);
             }
         }
     }
@@ -159,6 +201,22 @@ mod tests {
     }
 
     #[test]
+    fn scratch_is_clean_between_tiles_and_bin_counts() {
+        // The per-thread scratch must not leak counts from one tile (or
+        // one bin count) into the next.
+        let (cw, fw) = wc();
+        let a = TileData::new(vec![3, 3, 9, 1], 2, 2);
+        let b = TileData::new(vec![9, 2], 1, 2);
+        let first = per_tile_histograms(&[a.clone(), b.clone()], 16, &cw, &fw);
+        assert_eq!(first[0].runs, vec![(1, 1), (3, 2), (9, 1)]);
+        assert_eq!(first[1].runs, vec![(2, 1), (9, 1)]);
+        let narrow = per_tile_histograms(std::slice::from_ref(&a), 4, &cw, &fw);
+        assert_eq!(narrow[0].runs, vec![(1, 1), (3, 2)]);
+        let again = per_tile_histograms(std::slice::from_ref(&b), 16, &cw, &fw);
+        assert_eq!(again[0].runs, first[1].runs);
+    }
+
+    #[test]
     fn histogram_total_equals_valid_cells() {
         // Invariant: sum of bins == valid cell count, for arbitrary data.
         let values: Vec<u16> = (0..777).map(|i| ((i * 31) % 1200) as u16).collect();
@@ -167,9 +225,17 @@ mod tests {
         let h = &per_tile_histograms(std::slice::from_ref(&tile), 1000, &cw, &fw)[0];
         let expected_valid = values.iter().filter(|&&v| (v as usize) < 1000).count() as u64;
         assert_eq!(
-            h.bins.iter().map(|&b| b as u64).sum::<u64>(),
+            h.runs.iter().map(|&(_, c)| c as u64).sum::<u64>(),
             expected_valid
         );
+        assert!(
+            h.runs.windows(2).all(|w| w[0].0 < w[1].0),
+            "runs ascend by bin"
+        );
+        for &(bin, count) in &h.runs {
+            let want = values.iter().filter(|&&v| v == bin).count() as u32;
+            assert_eq!(count, want, "bin {bin}");
+        }
         assert_eq!(h.valid_cells, expected_valid);
         assert_eq!(h.valid_cells + h.skipped_cells, 777);
     }

@@ -5,21 +5,21 @@
 //! the paper's Fig. 4 `UpdateHistKernel`, whose whole point is that the
 //! cells of such tiles are never individually examined. Threads stride the
 //! bin axis so accesses to both the tile and polygon histogram arrays
-//! coalesce.
+//! coalesce. The host adds only each tile's non-zero runs; the counted
+//! work is still the kernel's full bin axis per pair.
 
-use zonal_gpusim::{exec, TrackedBufU64, WorkCounter};
+use crate::hist::ZoneRows;
+use zonal_gpusim::{exec, WorkCounter};
 
-/// Add per-tile histograms into the flat zone histogram buffer
-/// (`zone * n_bins + bin` layout).
+/// Add per-tile histograms into the zone rows.
 ///
-/// `pairs` yields `(pid, tile_histogram)` for the tiles being aggregated
-/// (the pipeline calls this once per strip with the strip's inside pairs).
-/// Different pairs may target the same polygon concurrently, hence the
-/// atomic buffer.
+/// `pairs` yields `(pid, tile_runs)` for the tiles being aggregated, with
+/// runs as [`crate::step1::TileHistogram::runs`] (the pipeline calls this
+/// once per strip with the strip's inside pairs). Different pairs may
+/// target the same polygon concurrently, hence the atomic rows.
 pub fn aggregate_inside(
-    pairs: &[(u32, &[u32])],
-    zone_hists: &TrackedBufU64,
-    n_bins: usize,
+    pairs: &[(u32, &[(u16, u32)])],
+    zone_rows: &ZoneRows,
     fixed_work: &WorkCounter,
 ) {
     let traced = zonal_obs::enabled();
@@ -30,18 +30,14 @@ pub fn aggregate_inside(
     };
     let mut span = zonal_obs::span("step3: aggregate inside tiles");
     exec::launch(pairs.len(), |b| {
-        let (pid, tile_hist) = pairs[b];
-        debug_assert_eq!(tile_hist.len(), n_bins);
-        let base = pid as usize * n_bins;
-        for (bin, &count) in tile_hist.iter().enumerate() {
-            if count > 0 {
-                zone_hists.add(base + bin, count as u64);
-            }
+        let (pid, runs) = pairs[b];
+        for &(bin, count) in runs {
+            zone_rows.add(pid, bin as usize, count as u64);
         }
     });
     // Bin-axis work: read n_bins u32 + RMW n_bins u64 per pair. Tile- and
     // bin-proportional, so "fixed" under resolution scaling.
-    let pair_bins = pairs.len() as u64 * n_bins as u64;
+    let pair_bins = pairs.len() as u64 * zone_rows.n_bins() as u64;
     fixed_work.add_coalesced(pair_bins * (4 + 8));
     fixed_work.add_flops(pair_bins);
     fixed_work.add_launch();
@@ -54,58 +50,60 @@ pub fn aggregate_inside(
 mod tests {
     use super::*;
 
+    fn all_rows(n_zones: usize, n_bins: usize) -> ZoneRows {
+        ZoneRows::new(&vec![true; n_zones], n_bins)
+    }
+
     #[test]
     fn single_pair_aggregates() {
-        let zone = TrackedBufU64::new(2 * 4);
-        let tile_hist = vec![1u32, 0, 5, 2];
+        let zone = all_rows(2, 4);
+        let runs = [(0u16, 1u32), (2, 5), (3, 2)];
         let wc = WorkCounter::new();
-        aggregate_inside(&[(1, &tile_hist)], &zone, 4, &wc);
-        let v = zone.into_vec();
-        assert_eq!(&v[..4], &[0, 0, 0, 0], "zone 0 untouched");
-        assert_eq!(&v[4..], &[1, 0, 5, 2]);
+        aggregate_inside(&[(1, &runs)], &zone, &wc);
+        let h = zone.into_histograms();
+        assert_eq!(h.zone(0), &[0, 0, 0, 0], "zone 0 untouched");
+        assert_eq!(h.zone(1), &[1, 0, 5, 2]);
     }
 
     #[test]
     fn many_tiles_same_polygon() {
         let n_bins = 8;
-        let zone = TrackedBufU64::new(3 * n_bins);
-        let hists: Vec<Vec<u32>> = (0..50).map(|k| vec![k as u32; n_bins]).collect();
-        let pairs: Vec<(u32, &[u32])> = hists.iter().map(|h| (2u32, h.as_slice())).collect();
+        let zone = all_rows(3, n_bins);
+        let runs: Vec<Vec<(u16, u32)>> = (1..50)
+            .map(|k| (0..n_bins as u16).map(|b| (b, k as u32)).collect())
+            .collect();
+        let pairs: Vec<(u32, &[(u16, u32)])> = runs.iter().map(|r| (2u32, r.as_slice())).collect();
         let wc = WorkCounter::new();
-        aggregate_inside(&pairs, &zone, n_bins, &wc);
-        let v = zone.into_vec();
-        let expected: u64 = (0..50).sum();
-        for bin in 0..n_bins {
-            assert_eq!(v[2 * n_bins + bin], expected);
-        }
+        aggregate_inside(&pairs, &zone, &wc);
+        let h = zone.into_histograms();
+        let expected: u64 = (1..50).sum();
+        assert_eq!(h.zone(2), &vec![expected; n_bins][..]);
     }
 
     #[test]
     fn concurrent_polygons_do_not_interfere() {
         let n_bins = 4;
-        let zone = TrackedBufU64::new(10 * n_bins);
-        let one = vec![1u32; n_bins];
-        let pairs: Vec<(u32, &[u32])> = (0..1000)
+        let zone = all_rows(10, n_bins);
+        let one: Vec<(u16, u32)> = (0..n_bins as u16).map(|b| (b, 1)).collect();
+        let pairs: Vec<(u32, &[(u16, u32)])> = (0..1000)
             .map(|i| ((i % 10) as u32, one.as_slice()))
             .collect();
         let wc = WorkCounter::new();
-        aggregate_inside(&pairs, &zone, n_bins, &wc);
-        let v = zone.into_vec();
+        aggregate_inside(&pairs, &zone, &wc);
+        let h = zone.into_histograms();
         for z in 0..10 {
-            for bin in 0..n_bins {
-                assert_eq!(v[z * n_bins + bin], 100, "zone {z} bin {bin}");
-            }
+            assert_eq!(h.zone(z), &[100; 4], "zone {z}");
         }
     }
 
     #[test]
     fn work_is_bin_proportional() {
+        // Counted work covers the full bin axis, even for empty runs.
         let n_bins = 16;
-        let zone = TrackedBufU64::new(n_bins);
-        let h = vec![0u32; n_bins];
-        let pairs: Vec<(u32, &[u32])> = vec![(0, &h), (0, &h), (0, &h)];
+        let zone = all_rows(1, n_bins);
+        let pairs: Vec<(u32, &[(u16, u32)])> = vec![(0, &[]), (0, &[(3, 1)]), (0, &[])];
         let wc = WorkCounter::new();
-        aggregate_inside(&pairs, &zone, n_bins, &wc);
+        aggregate_inside(&pairs, &zone, &wc);
         let w = wc.snapshot();
         assert_eq!(w.coalesced_bytes, 3 * 16 * 12);
         assert_eq!(w.flops, 3 * 16);
@@ -114,9 +112,9 @@ mod tests {
 
     #[test]
     fn empty_pairs_noop() {
-        let zone = TrackedBufU64::new(8);
+        let zone = all_rows(2, 4);
         let wc = WorkCounter::new();
-        aggregate_inside(&[], &zone, 4, &wc);
-        assert!(zone.into_vec().iter().all(|&v| v == 0));
+        aggregate_inside(&[], &zone, &wc);
+        assert_eq!(zone.into_histograms().total(), 0);
     }
 }

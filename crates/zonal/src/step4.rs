@@ -10,9 +10,10 @@
 //! This is the pipeline's most expensive step (paper Table 2), and the one
 //! whose cost scales with `cells × polygon edges`.
 
+use crate::hist::ZoneRows;
 use crate::representative::CellRepresentative;
 use zonal_geo::FlatPolygons;
-use zonal_gpusim::{exec, TrackedBufU64, WorkCounter};
+use zonal_gpusim::{exec, WorkCounter};
 use zonal_raster::{TileData, TileGrid};
 
 /// Estimated arithmetic per edge test in the Fig. 5 inner loop (compares,
@@ -47,13 +48,12 @@ impl RefineCounts {
 /// `pairs` yields `(pid, tile_id, tile_data)`; one block processes one pair
 /// (the paper groups by polygon; per-pair blocks are the same work units
 /// with finer scheduling granularity). `grid` supplies the world placement
-/// of tile cells.
+/// of tile cells; `zone_rows` must hold a row for every pair's polygon.
 pub fn refine_intersect(
     pairs: &[(u32, u32, &TileData)],
     grid: &TileGrid,
     flat: &FlatPolygons,
-    zone_hists: &TrackedBufU64,
-    n_bins: usize,
+    zone_rows: &ZoneRows,
     representative: CellRepresentative,
     cell_work: &WorkCounter,
 ) -> RefineCounts {
@@ -65,12 +65,12 @@ pub fn refine_intersect(
     };
     let mut span = zonal_obs::span("step4: PIP refine boundary tiles");
     let gt = *grid.transform();
+    let n_bins = zone_rows.n_bins();
     let per_block = exec::launch_map(pairs.len(), |b| {
         let (pid, tid, tile) = pairs[b];
         let (tx, ty) = grid.tile_pos(tid as usize);
         let (row0, col0) = grid.tile_origin_cell(tx, ty);
         let edges = flat.edge_count(pid as usize) as u64;
-        let base = pid as usize * n_bins;
         let mut counts = RefineCounts::default();
         for dr in 0..tile.rows {
             for dc in 0..tile.cols {
@@ -84,7 +84,7 @@ pub fn refine_intersect(
                     counts.cells_inside += 1;
                     let v = tile.get(dr, dc) as usize;
                     if v < n_bins {
-                        zone_hists.add(base + v, 1);
+                        zone_rows.add(pid, v, 1);
                         counts.cells_counted += 1;
                     }
                 }
@@ -130,21 +130,20 @@ mod tests {
         let flat = flat_of(Polygon::rect(-1.0, -1.0, 0.5, 2.0));
         let grid = one_tile_grid();
         let tile = TileData::filled(3, 10, 10);
-        let zone = TrackedBufU64::new(8);
+        let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
         let c = refine_intersect(
             &[(0, 0, &tile)],
             &grid,
             &flat,
             &zone,
-            8,
             CellRepresentative::Center,
             &wc,
         );
         assert_eq!(c.cells_tested, 100);
         assert_eq!(c.cells_inside, 50);
         assert_eq!(c.cells_counted, 50);
-        assert_eq!(zone.into_vec()[3], 50);
+        assert_eq!(zone.into_histograms().get(0, 3), 50);
     }
 
     #[test]
@@ -155,20 +154,19 @@ mod tests {
         values[0] = NODATA;
         values[1] = 7000; // out of range for 8 bins
         let tile = TileData::new(values, 10, 10);
-        let zone = TrackedBufU64::new(8);
+        let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
         let c = refine_intersect(
             &[(0, 0, &tile)],
             &grid,
             &flat,
             &zone,
-            8,
             CellRepresentative::Center,
             &wc,
         );
         assert_eq!(c.cells_inside, 100);
         assert_eq!(c.cells_counted, 98);
-        assert_eq!(zone.into_vec()[1], 98);
+        assert_eq!(zone.into_histograms().get(0, 1), 98);
     }
 
     #[test]
@@ -179,14 +177,13 @@ mod tests {
         let flat = flat_of(Polygon::new(vec![shell, hole]));
         let grid = one_tile_grid();
         let tile = TileData::filled(0, 10, 10);
-        let zone = TrackedBufU64::new(4);
+        let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
         let c = refine_intersect(
             &[(0, 0, &tile)],
             &grid,
             &flat,
             &zone,
-            4,
             CellRepresentative::Center,
             &wc,
         );
@@ -194,7 +191,7 @@ mod tests {
         // hole owns centers with both coords in [0.25, 0.75): that's
         // {0.25, 0.35, 0.45, 0.55, 0.65} per axis => 5×5 = 25 cells excluded.
         assert_eq!(c.cells_inside, 100 - 25);
-        assert_eq!(zone.into_vec()[0], 75);
+        assert_eq!(zone.into_histograms().get(0, 0), 75);
     }
 
     #[test]
@@ -207,20 +204,19 @@ mod tests {
         let flat = FlatPolygons::from_polygons(&polys);
         let grid = one_tile_grid();
         let tile = TileData::filled(2, 10, 10);
-        let zone = TrackedBufU64::new(2 * 4);
+        let zone = ZoneRows::new(&[true, true], 4);
         let wc = WorkCounter::new();
         let c = refine_intersect(
             &[(0, 0, &tile), (1, 0, &tile)],
             &grid,
             &flat,
             &zone,
-            4,
             CellRepresentative::Center,
             &wc,
         );
-        let v = zone.into_vec();
-        assert_eq!(v[2], 50, "zone 0 gets the left half");
-        assert_eq!(v[4 + 2], 50, "zone 1 gets the right half");
+        let h = zone.into_histograms();
+        assert_eq!(h.get(0, 2), 50, "zone 0 gets the left half");
+        assert_eq!(h.get(1, 2), 50, "zone 1 gets the right half");
         assert_eq!(c.cells_counted, 100, "every cell counted exactly once");
     }
 
@@ -229,14 +225,13 @@ mod tests {
         let flat = flat_of(Polygon::rect(-1.0, -1.0, 0.5, 2.0)); // 4 edges + closure slot
         let grid = one_tile_grid();
         let tile = TileData::filled(0, 10, 10);
-        let zone = TrackedBufU64::new(4);
+        let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
         let c = refine_intersect(
             &[(0, 0, &tile)],
             &grid,
             &flat,
             &zone,
-            4,
             CellRepresentative::Center,
             &wc,
         );
@@ -250,9 +245,9 @@ mod tests {
     fn empty_pairs() {
         let flat = flat_of(Polygon::rect(0.0, 0.0, 1.0, 1.0));
         let grid = one_tile_grid();
-        let zone = TrackedBufU64::new(4);
+        let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[], &grid, &flat, &zone, 4, CellRepresentative::Center, &wc);
+        let c = refine_intersect(&[], &grid, &flat, &zone, CellRepresentative::Center, &wc);
         assert_eq!(c, RefineCounts::default());
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use zonal_histo::cluster::{
-    run_cluster, run_dynamic, Assignment, ClusterConfig, FaultPlan, RecoveryPolicy,
+    run_cluster, run_dynamic, Assignment, ClusterConfig, ClusterError, FaultPlan, RecoveryPolicy,
 };
 use zonal_histo::geo::CountyConfig;
 use zonal_histo::zonal::pipeline::Zones;
@@ -89,6 +89,30 @@ fn reports_complete_and_consistent() {
     assert_eq!(run.nodes.iter().map(|r| r.n_partitions).sum::<usize>(), 36);
     assert!(run.sim_secs >= run.nodes.iter().map(|r| r.sim_secs).fold(0.0, f64::max));
     assert!(run.comm_secs > 0.0);
+}
+
+#[test]
+fn corrupt_payload_from_rank_without_partitions_is_caught() {
+    // 40 nodes over 36 partitions: ranks 36..40 own none and send a
+    // payload with no stored rows. Corrupting one must still fail its
+    // checksum — and be retransmitted under `Retry`.
+    let n = 40;
+    let mut c = chaos_cfg(n);
+    c.faults = FaultPlan::none().with_corrupt(n - 1);
+    c.recovery = RecoveryPolicy::Retry {
+        max_attempts: 1,
+        backoff_secs: 0.0,
+    };
+    let run = run_cluster(&c, zones()).unwrap();
+    assert_eq!(run.nodes[n - 1].n_partitions, 0, "rank {} is empty", n - 1);
+    assert_eq!(run.retransmits, 1, "the corrupt copy is resent once");
+    assert_eq!(&run.hists, clean_hists(3));
+
+    c.recovery = RecoveryPolicy::FailFast;
+    match run_cluster(&c, zones()) {
+        Err(ClusterError::CorruptPayload { from, .. }) => assert_eq!(from, n - 1),
+        other => panic!("expected a corrupt-payload error, got {other:?}"),
+    }
 }
 
 /// Fault-free reference histograms for the chaos property, memoized per

@@ -56,15 +56,20 @@ fn raster_strategy() -> impl Strategy<Value = Raster> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Bins from {1, 8, 256, 5000} against cells valued 0..200 and tiles
+    /// of up to 40×40 cells: tiles with far more cells than bins, far
+    /// fewer, and values beyond the last bin all meet in one property.
     #[test]
     fn pipeline_equals_scanline_on_random_workloads(
         layer in layer_strategy(),
         raster in raster_strategy(),
-        tile_cells in 3usize..12,
+        tile_cells in 3usize..41,
+        bins_choice in 0usize..4,
     ) {
         let zones = Zones::new(layer);
         let grid = TileGrid::new(raster.rows(), raster.cols(), tile_cells, *raster.transform());
-        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(256);
+        let n_bins = [1, 8, 256, 5000][bins_choice];
+        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(n_bins);
         cfg.tile_deg = tile_cells as f64 * raster.transform().sx; // match grid
         let pipe = run_partition(&cfg, &zones, &raster.tile_source(&grid));
         let scan = baseline::scanline_serial(&zones.layer, &raster, cfg.n_bins);
