@@ -157,6 +157,33 @@ impl FlatPolygons {
         inside
     }
 
+    /// The sorted x of every crossing of polygon `k`'s edges with the
+    /// horizontal line at `y`, written into `out` (cleared first).
+    ///
+    /// Uses the sentinel skip, the half-open straddle test and the crossing
+    /// expression of [`FlatPolygons::contains`], so for finite vertices
+    /// `contains(k, (x, y))` holds iff an odd number of the returned values
+    /// are `> x`: the toggles `contains` makes along its ray, computed once
+    /// for every point of the line.
+    pub fn row_crossings(&self, k: usize, y: f64, out: &mut Vec<f64>) {
+        out.clear();
+        let (p_f, p_t) = self.vertex_range(k);
+        let mut j = p_f;
+        while j + 1 < p_t {
+            let (x1, y1) = (self.x_v[j + 1], self.y_v[j + 1]);
+            if x1 == RING_SENTINEL.x && y1 == RING_SENTINEL.y {
+                j += 2;
+                continue;
+            }
+            let (x0, y0) = (self.x_v[j], self.y_v[j]);
+            if (y0 <= y) != (y1 <= y) {
+                out.push((x1 - x0) * (y - y0) / (y1 - y0) + x0);
+            }
+            j += 1;
+        }
+        out.sort_unstable_by(f64::total_cmp);
+    }
+
     /// Number of edge tests [`FlatPolygons::contains`] performs for polygon
     /// `k` — the per-cell cost unit used by the device cost model.
     pub fn edge_count(&self, k: usize) -> usize {
@@ -260,6 +287,30 @@ mod tests {
         let flat = FlatPolygons::from_polygons(std::slice::from_ref(&poly));
         // 4 vertices + closure = 5 slots => 4 edge tests.
         assert_eq!(flat.edge_count(0), 4);
+    }
+
+    #[test]
+    fn row_crossings_of_rect_with_hole() {
+        let poly = Polygon::new(vec![
+            Ring::rect(1.0, 1.0, 9.0, 9.0),
+            Ring::rect(3.0, 3.0, 5.0, 5.0),
+        ]);
+        let flat = FlatPolygons::from_polygons(std::slice::from_ref(&poly));
+        let mut xs = vec![42.0];
+        flat.row_crossings(0, 4.0, &mut xs);
+        assert_eq!(xs, [1.0, 3.0, 5.0, 9.0]);
+        flat.row_crossings(0, 2.0, &mut xs);
+        assert_eq!(xs, [1.0, 9.0]);
+        // Half-open: the bottom edge's row crosses, the top edge's does not.
+        flat.row_crossings(0, 1.0, &mut xs);
+        assert_eq!(xs, [1.0, 9.0]);
+        flat.row_crossings(0, 9.0, &mut xs);
+        assert!(xs.is_empty());
+        for x in [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 9.5] {
+            flat.row_crossings(0, 4.0, &mut xs);
+            let odd = xs.iter().filter(|&&c| c > x).count() % 2 == 1;
+            assert_eq!(odd, flat.contains(0, Point::new(x, 4.0)), "x = {x}");
+        }
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Grid-level kernel launch on a work-stealing pool.
+//! Grid-level kernel launch over independent blocks.
 //!
 //! A CUDA kernel launch is a grid of *independent* thread blocks: blocks may
 //! not communicate except through global atomics, and the hardware schedules
 //! them in any order. That contract maps directly onto a parallel iterator
-//! over block indices — which is how these launches execute. Anything a
+//! over block indices, which is how these launches are written. The
+//! workspace's `rayon` is a sequential shim, so a launch runs its blocks
+//! in order on the calling thread; host concurrency comes from the callers
+//! (the decode/compute overlap, `run_partitions` workers, cluster node
+//! threads and the serve pool). Anything a
 //! kernel writes must therefore go through owned per-block results
 //! ([`launch_map`]) or atomic buffers ([`crate::atomic`], or their
 //! sanitizer-aware [`crate::tracked`] wrappers), the same discipline CUDA

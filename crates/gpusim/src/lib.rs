@@ -7,9 +7,10 @@
 //! 1. **Execution** ([`exec`], [`block`], [`atomic`]) — kernels are written
 //!    against the same decomposition as the paper's CUDA code (a grid of
 //!    independent thread blocks; threads inside a block iterate with a
-//!    `blockDim` stride and synchronize at barriers) and run *for real* on a
-//!    work-stealing CPU pool, preserving the algorithm and its memory-access
-//!    structure. [`block::SimtBlock`] is a faithful barrier-accurate
+//!    `blockDim` stride and synchronize at barriers) and run *for real* on
+//!    the CPU, preserving the algorithm and its memory-access structure
+//!    (a launch runs its blocks sequentially on the calling thread: the
+//!    workspace's `rayon` is a sequential shim). [`block::SimtBlock`] is a faithful barrier-accurate
 //!    emulator used by tests; [`exec::launch`] is the fast path used by
 //!    benches.
 //! 2. **Cost model** ([`device`], [`cost`]) — kernels count their work

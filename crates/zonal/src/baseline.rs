@@ -8,7 +8,9 @@
 //!   approach: every cell in every polygon's MBB gets a ray-crossing test.
 //! * [`scanline_serial`] / [`scanline_parallel`] — the classic efficient
 //!   CPU approach used by GIS rasterizers: per raster row, compute the
-//!   polygon's crossings and count whole column spans.
+//!   polygon's crossings and count whole column spans. The crossings come
+//!   from [`FlatPolygons::row_crossings`], the routine Step 4 uses, so the
+//!   per-point full-PIP baselines are the independent oracles for Step 4.
 //!
 //! All baselines implement *identical* boundary semantics to the pipeline
 //! (half-open ray-crossing on cell centers), so results compare with
@@ -16,7 +18,7 @@
 
 use crate::hist::ZoneHistograms;
 use rayon::prelude::*;
-use zonal_geo::{Mbr, PolygonLayer};
+use zonal_geo::{FlatPolygons, Mbr, PolygonLayer};
 use zonal_raster::Raster;
 
 /// Clamp a world-space MBR to the raster's cell index ranges
@@ -140,34 +142,26 @@ pub fn full_pip_with_representative(
 /// of all edges with the row's center latitude, converted to cell column
 /// spans.
 ///
-/// Boundary semantics match the ray-crossing test exactly: a cell center is
-/// inside iff an odd number of crossings lie strictly to its right, which
-/// makes the spans `[x_{2k}, x_{2k+1})` over the sorted crossing list.
+/// The crossings come from [`FlatPolygons::row_crossings`], the routine
+/// Step 4 classifies cells with, so boundary semantics match the
+/// ray-crossing test exactly: a cell center is inside iff an odd number of
+/// crossings lie strictly to its right, which makes the spans
+/// `[x_{2k}, x_{2k+1})` over the sorted crossing list.
 fn zone_histogram_scanline(
     raster: &Raster,
-    layer: &PolygonLayer,
+    flat: &FlatPolygons,
     pid: usize,
     n_bins: usize,
 ) -> Vec<u64> {
     let mut bins = vec![0u64; n_bins];
-    let poly = layer.polygon(pid);
-    let Some((rows, cols)) = cell_ranges(raster, &poly.mbr()) else {
+    let Some((rows, cols)) = cell_ranges(raster, &flat.mbrs[pid]) else {
         return bins;
     };
     let gt = raster.transform();
     let mut crossings: Vec<f64> = Vec::new();
     for r in rows {
         let y = gt.y0 + (r as f64 + 0.5) * gt.sy;
-        crossings.clear();
-        for ring in poly.rings() {
-            for (a, b) in ring.edges() {
-                // Same half-open straddle rule as the PIP kernel.
-                if (a.y <= y) != (b.y <= y) {
-                    crossings.push((b.x - a.x) * (y - a.y) / (b.y - a.y) + a.x);
-                }
-            }
-        }
-        crossings.sort_by(|p, q| p.partial_cmp(q).expect("finite crossings"));
+        flat.row_crossings(pid, y, &mut crossings);
         // Spans between even/odd crossing pairs contain the inside centers.
         for pair in crossings.chunks_exact(2) {
             let (x_lo, x_hi) = (pair[0], pair[1]);
@@ -187,9 +181,10 @@ fn zone_histogram_scanline(
 
 /// Scanline baseline, serial.
 pub fn scanline_serial(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
+    let flat = layer.to_flat();
     let mut out = ZoneHistograms::new(layer.len(), n_bins);
     for pid in 0..layer.len() {
-        for (bin, &count) in zone_histogram_scanline(raster, layer, pid, n_bins)
+        for (bin, &count) in zone_histogram_scanline(raster, &flat, pid, n_bins)
             .iter()
             .enumerate()
         {
@@ -203,9 +198,10 @@ pub fn scanline_serial(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> 
 
 /// Scanline baseline, parallel over polygons.
 pub fn scanline_parallel(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
+    let flat = layer.to_flat();
     let zones: Vec<Vec<u64>> = (0..layer.len())
         .into_par_iter()
-        .map(|pid| zone_histogram_scanline(raster, layer, pid, n_bins))
+        .map(|pid| zone_histogram_scanline(raster, &flat, pid, n_bins))
         .collect();
     collect_rows(zones, n_bins)
 }

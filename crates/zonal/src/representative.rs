@@ -34,9 +34,32 @@ pub enum CellRepresentative {
 }
 
 impl CellRepresentative {
+    /// The cell's sample points, as `(fx, fy)` offsets in cell units from
+    /// its lower-left corner, with samples sharing an `fy` adjacent. The
+    /// one table both [`CellRepresentative::test`] and
+    /// [`crate::step4`] read.
+    pub(crate) fn samples(self) -> &'static [(f64, f64)] {
+        match self {
+            CellRepresentative::Center => &[(0.5, 0.5)],
+            CellRepresentative::LowerLeftCorner => &[(0.0, 0.0)],
+            CellRepresentative::Majority4 => {
+                &[(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
+            }
+        }
+    }
+
+    /// Inside samples a cell needs to count.
+    pub(crate) fn min_inside(self) -> u32 {
+        match self {
+            CellRepresentative::Center | CellRepresentative::LowerLeftCorner => 1,
+            CellRepresentative::Majority4 => 3,
+        }
+    }
+
     /// Does cell `(row, col)` of `gt` belong to polygon `k` of `flat`?
     /// Returns the membership decision and the number of point tests spent
-    /// (for work accounting).
+    /// (for work accounting). One [`FlatPolygons::contains`] call per
+    /// sample: the per-point oracle Step 4's row pass is checked against.
     pub fn test(
         self,
         flat: &FlatPolygons,
@@ -45,34 +68,23 @@ impl CellRepresentative {
         row: usize,
         col: usize,
     ) -> (bool, u32) {
-        match self {
-            CellRepresentative::Center => (flat.contains(k, gt.cell_center(row, col)), 1),
-            CellRepresentative::LowerLeftCorner => {
-                let p = Point::new(gt.x0 + col as f64 * gt.sx, gt.y0 + row as f64 * gt.sy);
-                (flat.contains(k, p), 1)
-            }
-            CellRepresentative::Majority4 => {
-                let mut inside = 0u32;
-                for (fx, fy) in [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)] {
-                    let p = Point::new(
-                        gt.x0 + (col as f64 + fx) * gt.sx,
-                        gt.y0 + (row as f64 + fy) * gt.sy,
-                    );
-                    if flat.contains(k, p) {
-                        inside += 1;
-                    }
-                }
-                (inside >= 3, 4)
-            }
-        }
+        let samples = self.samples();
+        let inside = samples
+            .iter()
+            .filter(|&&(fx, fy)| {
+                let p = Point::new(
+                    sample_coord(gt.x0, col, fx, gt.sx),
+                    sample_coord(gt.y0, row, fy, gt.sy),
+                );
+                flat.contains(k, p)
+            })
+            .count() as u32;
+        (inside >= self.min_inside(), samples.len() as u32)
     }
 
     /// Point tests per cell (for cost accounting).
     pub fn tests_per_cell(self) -> u32 {
-        match self {
-            CellRepresentative::Center | CellRepresentative::LowerLeftCorner => 1,
-            CellRepresentative::Majority4 => 4,
-        }
+        self.samples().len() as u32
     }
 
     /// True for modes that partition a tessellation exactly (each cell in
@@ -80,6 +92,16 @@ impl CellRepresentative {
     pub fn is_partition_rule(self) -> bool {
         !matches!(self, CellRepresentative::Majority4)
     }
+}
+
+/// World coordinate of sample offset `f` in cell `index` along one axis
+/// (`origin` is the axis origin, `size` the cell size). For the center
+/// offset this is [`GeoTransform::cell_center`]'s expression, and for a
+/// zero offset `index as f64 + 0.0 == index as f64` leaves the corner
+/// exact.
+#[inline]
+pub(crate) fn sample_coord(origin: f64, index: usize, f: f64, size: f64) -> f64 {
+    origin + (index as f64 + f) * size
 }
 
 #[cfg(test)]
@@ -140,6 +162,52 @@ mod tests {
             CellRepresentative::Majority4,
         ] {
             assert!(!mode.test(&g, 0, &gt(), 2, 3).0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn sample_table_is_consistent() {
+        for mode in [
+            CellRepresentative::Center,
+            CellRepresentative::LowerLeftCorner,
+            CellRepresentative::Majority4,
+        ] {
+            let samples = mode.samples();
+            assert_eq!(mode.tests_per_cell() as usize, samples.len());
+            assert!((1..=samples.len() as u32).contains(&mode.min_inside()));
+            // Samples sharing a row offset are adjacent, so Step 4 computes
+            // each sample row's crossings once.
+            let mut fys: Vec<f64> = samples.iter().map(|s| s.1).collect();
+            fys.dedup();
+            let mut distinct = fys.clone();
+            distinct.sort_by(f64::total_cmp);
+            distinct.dedup();
+            assert_eq!(fys.len(), distinct.len(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn sample_coords_reproduce_cell_center_and_corner_bits() {
+        let gt = GeoTransform::new(-124.7, 24.3, 1.0 / 120.0, 1.0 / 120.0);
+        for (row, col) in [(0, 0), (7, 913), (1441, 3)] {
+            let c = gt.cell_center(row, col);
+            assert_eq!(
+                sample_coord(gt.x0, col, 0.5, gt.sx).to_bits(),
+                c.x.to_bits()
+            );
+            assert_eq!(
+                sample_coord(gt.y0, row, 0.5, gt.sy).to_bits(),
+                c.y.to_bits()
+            );
+            let corner = gt.cell_box(row, col);
+            assert_eq!(
+                sample_coord(gt.x0, col, 0.0, gt.sx).to_bits(),
+                corner.min_x.to_bits()
+            );
+            assert_eq!(
+                sample_coord(gt.y0, row, 0.0, gt.sy).to_bits(),
+                corner.min_y.to_bits()
+            );
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! One thread block per raster tile; threads zero the tile's bins, then
 //! stride over the tile's cells updating bins with `atomicAdd` — the
-//! paper's Fig. 2 `CellAggrKernel`. Here each block executes on the
-//! work-stealing pool ([`zonal_gpusim::exec::launch_map`]); a
+//! paper's Fig. 2 `CellAggrKernel`. Here the blocks run one after another
+//! on the calling thread ([`zonal_gpusim::exec::launch_map`]); a
 //! barrier-faithful rendition of the same kernel lives in
 //! [`crate::simt::cell_aggr_kernel`], where the SIMT tests (and, under the
 //! `sanitize` feature, the kernel sanitizer) exercise its barrier and

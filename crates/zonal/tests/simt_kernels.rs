@@ -9,8 +9,11 @@
 //! back clean.
 
 use zonal_core::simt::{cell_aggr_kernel, pip_test_kernel, update_hist_kernel};
+use zonal_core::step4::refine_intersect;
+use zonal_core::{CellRepresentative, ZoneRows};
 use zonal_geo::{FlatPolygons, Point, Polygon, Ring};
-use zonal_gpusim::TrackedBufU32;
+use zonal_gpusim::{TrackedBufU32, WorkCounter};
+use zonal_raster::{GeoTransform, TileData, TileGrid};
 
 #[test]
 fn fig2_kernel_counts_exactly_per_block_dim() {
@@ -115,6 +118,59 @@ fn fig5_kernel_matches_reference_pip() {
         );
         assert_eq!(his.to_vec(), expected, "block_dim {block_dim}");
     }
+}
+
+/// The host's Step 4 classifies cells by per-row crossing parity instead
+/// of one Fig. 5 ray test per cell; on the same tile, multi-ring polygon
+/// and values it must build the same histogram as the kernel.
+#[test]
+fn fig5_kernel_matches_host_step4() {
+    let poly = Polygon::new(vec![
+        Ring::rect(0.05, 0.15, 1.05, 1.1),
+        Ring::circle(Point::new(0.6, 0.6), 0.25, 9),
+        Ring::rect(0.35, 0.75, 0.55, 0.85),
+    ]);
+    let flat = FlatPolygons::from_polygons(std::slice::from_ref(&poly));
+    let tile_cells = 12usize;
+    let cell = 0.1;
+    let hist_size = 8usize;
+    let raw: Vec<u16> = (0..tile_cells * tile_cells)
+        .map(|i| ((i * 5) % 11) as u16)
+        .collect();
+
+    let his = TrackedBufU32::labelled("his_d_polygon", hist_size);
+    pip_test_kernel(
+        &flat,
+        0,
+        &raw,
+        tile_cells,
+        Point::new(0.0, 0.0),
+        cell,
+        &his,
+        hist_size,
+        32,
+    );
+    let kernel: Vec<u64> = his.to_vec().into_iter().map(u64::from).collect();
+
+    let grid = TileGrid::new(
+        tile_cells,
+        tile_cells,
+        tile_cells,
+        GeoTransform::new(0.0, 0.0, cell, cell),
+    );
+    let tile = TileData::new(raw, tile_cells, tile_cells);
+    let zone = ZoneRows::new(&[true], hist_size);
+    let counts = refine_intersect(
+        &[(0, 0, &tile)],
+        &grid,
+        &flat,
+        &zone,
+        CellRepresentative::Center,
+        &WorkCounter::new(),
+    );
+    assert!(counts.cells_counted > 0, "fixture must have inside cells");
+    assert!(counts.cells_inside < 144, "fixture must have outside cells");
+    assert_eq!(zone.into_histograms().zone(0), &kernel[..]);
 }
 
 #[test]

@@ -20,6 +20,18 @@ fn star_polygon(cx: f64, cy: f64, radii: &[f64]) -> Polygon {
     Polygon::from_ring(Ring::new(pts))
 }
 
+/// Staircase polygon: `n` steps of width `w` and height `h` climbing
+/// leftward from `(x0, y0)`, so half its edges are horizontal.
+fn staircase(x0: f64, y0: f64, w: f64, h: f64, n: usize) -> Polygon {
+    let mut pts = vec![Point::new(x0, y0), Point::new(x0 + n as f64 * w, y0)];
+    for i in 0..n {
+        let y = y0 + (i + 1) as f64 * h;
+        pts.push(Point::new(x0 + (n - i) as f64 * w, y));
+        pts.push(Point::new(x0 + (n - i - 1) as f64 * w, y));
+    }
+    Polygon::from_ring(Ring::new(pts))
+}
+
 fn radii_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.2f64..3.0, 3..40)
 }
@@ -66,6 +78,64 @@ proptest! {
         for (dx, dy) in probes {
             let p = Point::new(10.0 + dx, 10.0 + dy);
             prop_assert_eq!(flat.contains(0, p), poly.contains(p), "at {:?}", p);
+        }
+    }
+
+    /// `row_crossings` is `contains` computed once per line: the parity of
+    /// the crossings right of x decides containment. Probed on a star with
+    /// a hole (ring sentinels) and a staircase (horizontal edges), at random
+    /// rows, at every vertex y, and at x exactly on each crossing and
+    /// vertex.
+    #[test]
+    fn row_crossings_parity_matches_contains(
+        outer in radii_strategy(),
+        hole_scale in 0.1f64..0.9,
+        w in 0.05f64..1.5,
+        h in 0.05f64..1.5,
+        steps in 1usize..6,
+        probes in prop::collection::vec((-4.0f64..4.0, -4.0f64..4.0), 12),
+    ) {
+        let n = outer.len();
+        let ring = |scale: f64| {
+            Ring::new(
+                outer
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| {
+                        let t = 2.0 * std::f64::consts::PI * i as f64 / n as f64;
+                        Point::new(10.0 + scale * r * t.cos(), 10.0 + scale * r * t.sin())
+                    })
+                    .collect(),
+            )
+        };
+        let polys = [
+            Polygon::new(vec![ring(1.0), ring(hole_scale)]),
+            staircase(10.0 - 2.0, 10.0 - 2.0, w, h, steps),
+        ];
+        let flat = FlatPolygons::from_polygons(&polys);
+        let mut xs = Vec::new();
+        for k in 0..polys.len() {
+            let (start, end) = flat.vertex_range(k);
+            let vertices: Vec<(f64, f64)> = (start..end)
+                .map(|j| (flat.x_v[j], flat.y_v[j]))
+                .filter(|v| v.0.is_finite())
+                .collect();
+            let rows = probes.iter().map(|p| 10.0 + p.1).chain(vertices.iter().map(|v| v.1));
+            for y in rows {
+                flat.row_crossings(k, y, &mut xs);
+                prop_assert!(xs.windows(2).all(|p| p[0] <= p[1]), "unsorted {:?}", xs);
+                prop_assert_eq!(xs.len() % 2, 0, "odd crossing count at y = {}", y);
+                let columns: Vec<f64> = probes
+                    .iter()
+                    .map(|p| 10.0 + p.0)
+                    .chain(xs.iter().copied())
+                    .chain(vertices.iter().map(|v| v.0))
+                    .collect();
+                for x in columns {
+                    let odd = xs.iter().filter(|&&c| c > x).count() % 2 == 1;
+                    prop_assert_eq!(odd, flat.contains(k, Point::new(x, y)), "poly {} at ({}, {})", k, x, y);
+                }
+            }
         }
     }
 

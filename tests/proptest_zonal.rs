@@ -1,5 +1,5 @@
 //! Property tests for the full pipeline: random zone layers and random
-//! rasters, pinned against the scanline reference.
+//! rasters, pinned against the scanline and per-cell PIP references.
 
 use proptest::prelude::*;
 use zonal_histo::geo::{Point, Polygon, PolygonLayer, Ring};
@@ -7,7 +7,7 @@ use zonal_histo::gpusim::DeviceSpec;
 use zonal_histo::raster::{GeoTransform, Raster, TileGrid};
 use zonal_histo::zonal::pipeline::{run_partition, Zones};
 use zonal_histo::zonal::stats::stats_of_histogram;
-use zonal_histo::zonal::{baseline, PipelineConfig};
+use zonal_histo::zonal::{baseline, CellRepresentative, PipelineConfig};
 
 /// Random layer of disjoint-ish circles and rectangles inside [0,8]×[0,6].
 /// Overlap is allowed — zonal histogramming is defined per zone, so zones
@@ -74,6 +74,33 @@ proptest! {
         let pipe = run_partition(&cfg, &zones, &raster.tile_source(&grid));
         let scan = baseline::scanline_serial(&zones.layer, &raster, cfg.n_bins);
         prop_assert_eq!(pipe.hists, scan);
+    }
+
+    /// Step 4's row-crossing pass against the per-cell oracle, which
+    /// tests every sample point with `contains`: equal for every cell
+    /// representative and tile size.
+    #[test]
+    fn pipeline_equals_per_cell_pip_for_every_representative(
+        layer in layer_strategy(),
+        raster in raster_strategy(),
+        tile_cells in 3usize..41,
+        representative_choice in 0usize..3,
+    ) {
+        let representative = [
+            CellRepresentative::Center,
+            CellRepresentative::LowerLeftCorner,
+            CellRepresentative::Majority4,
+        ][representative_choice];
+        let zones = Zones::new(layer);
+        let grid = TileGrid::new(raster.rows(), raster.cols(), tile_cells, *raster.transform());
+        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan())
+            .with_bins(256)
+            .with_representative(representative);
+        cfg.tile_deg = tile_cells as f64 * raster.transform().sx; // match grid
+        let pipe = run_partition(&cfg, &zones, &raster.tile_source(&grid));
+        let oracle =
+            baseline::full_pip_with_representative(&zones.layer, &raster, cfg.n_bins, representative);
+        prop_assert_eq!(pipe.hists, oracle, "{:?}", representative);
     }
 
     #[test]
