@@ -9,7 +9,7 @@
 //!
 //! All endpoint operations are fallible and return [`ClusterError`]
 //! instead of panicking: a dropped peer is an event the fault-tolerant
-//! runners observe and recover from, not a process abort.
+//! runner observes and recovers from, not a process abort.
 
 use crate::error::{ClusterError, ClusterResult};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};

@@ -3,8 +3,8 @@
 //! The paper's MPI job dies wholesale on any node or link failure; a
 //! production runtime must instead surface failures as values the caller
 //! can react to. Every fallible cluster API returns [`ClusterError`]
-//! instead of panicking, and [`RecoveryPolicy`] selects what the runners
-//! do when a failure is detected mid-run.
+//! instead of panicking, and [`RecoveryPolicy`] selects what the runner
+//! does when a failure is detected mid-run.
 
 use serde::Serialize;
 use std::fmt;
@@ -109,7 +109,7 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// What the runners do when failure detection fires.
+/// What the runner does when failure detection fires.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub enum RecoveryPolicy {
     /// Abort the run and return the first failure as a typed error — the

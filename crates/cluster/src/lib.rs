@@ -13,24 +13,26 @@
 //! * [`node`] — the per-node worker: run the pipeline over the node's
 //!   partitions (for real, on the shared CPU pool) and report simulated
 //!   K20X seconds;
-//! * [`run`] — the scaling driver that regenerates Fig. 6 plus the §IV.C
-//!   single-node comparison;
+//! * [`run`] — the one cluster runner: the paper's static partition split
+//!   (`RoundRobin`, `BalancedByCells`) or §IV.C dynamic self-scheduling
+//!   (`Pull`), chosen by [`Assignment`], plus the Fig. 6 scaling sweep;
+//! * [`schedule`] — the analytic scheduling-policy model over measured
+//!   partition costs, which also prices `Pull` runs;
 //! * [`imbalance`] — the load-balance metrics behind the paper's
 //!   "southern-Florida tiles" discussion;
 //! * [`error`] — typed failures ([`ClusterError`]) and the
-//!   [`RecoveryPolicy`] selecting how the runners react to them; and
+//!   [`RecoveryPolicy`] selecting how the runner reacts to them; and
 //! * [`fault`] — seeded deterministic fault injection (node crashes,
-//!   message loss/delay/corruption) for chaos-testing the runners.
+//!   message loss/delay/corruption) for chaos-testing the runner.
 //!
-//! Unlike the paper's MPI job, both runners tolerate worker failures:
-//! the master detects silent deaths via receive timeouts plus a control
+//! Unlike the paper's MPI job, the runner tolerates worker failures: the
+//! master detects silent deaths via receive timeouts plus a control
 //! channel probe, retransmits lost or corrupt result messages (checksum
-//! verified), and — under [`RecoveryPolicy::Reassign`] — redistributes a
+//! verified), and — under a recovering [`RecoveryPolicy`] — re-runs a
 //! dead node's partitions so the combined histograms stay bit-identical
 //! to a fault-free run.
 
 pub mod comm;
-pub mod dynamic;
 pub mod error;
 pub mod fault;
 pub mod imbalance;
@@ -39,7 +41,6 @@ pub mod run;
 pub mod schedule;
 
 pub use comm::{Cluster, Comm, NetworkModel};
-pub use dynamic::run_dynamic;
 pub use error::{ClusterError, ClusterResult, RecoveryPolicy};
 pub use fault::{FaultInjector, FaultPlan, MsgFault};
 pub use imbalance::ImbalanceReport;

@@ -1,34 +1,40 @@
-//! Cluster scaling driver: regenerates the paper's Fig. 6, with failure
-//! detection and recovery layered on top.
+//! Cluster runner: regenerates the paper's Fig. 6 and the §IV.C
+//! self-scheduling alternative, with failure detection and recovery.
 //!
-//! The paper's MPI job assumes a perfect cluster; this runner does not.
-//! Workers may crash mid-share, and result messages may be lost, delayed,
-//! or corrupted (all injected deterministically from
-//! [`crate::fault::FaultPlan`]). The master detects trouble with a
-//! receive-timeout failure detector plus a control-channel probe, and
-//! repairs it per the configured [`RecoveryPolicy`]:
+//! One master state machine serves every [`Assignment`]. Rank 0 runs on
+//! the calling thread beside the master; each other rank is a worker
+//! thread. A work dispenser is the only place execution depends on the
+//! assignment: a static rank gets its whole share as one batch, a `Pull`
+//! rank one partition per request from a shared queue.
 //!
-//! * message loss / corruption → checksum verification and Ack/Resend
-//!   retransmission over a per-worker control channel;
-//! * worker crash → `Retry` re-executes the dead rank's share, `Reassign`
-//!   redistributes its orphaned partitions over the survivors;
-//! * `FailFast` → the run aborts with a typed [`ClusterError`].
+//! Unlike the paper's MPI job, workers may crash mid-share and result
+//! messages may be lost, delayed or corrupted (injected deterministically
+//! from [`crate::fault::FaultPlan`]). The master verifies checksums, asks
+//! for retransmission over a per-worker control channel, and detects
+//! silent deaths with a receive timeout plus a control-channel probe. A
+//! dead rank's unreported partitions go back to the dispenser, where live
+//! `Pull` ranks pick them up; whatever is left after the gather the master
+//! recovers per the [`RecoveryPolicy`]: `Retry` re-runs a static share,
+//! `Reassign` spreads it over the survivors, and under `Pull` both run the
+//! leftovers on the master and add them to the schedule simulation.
+//! `FailFast` aborts at the first fault with a typed [`ClusterError`].
 //!
 //! Under `Retry`/`Reassign` the combined histograms are bit-identical to
 //! a fault-free run; the price of recovery (detection windows, backoff,
 //! re-execution, retransmissions) is charged to `sim_secs`/`comm_secs`.
 
-use crate::comm::{Cluster, NetworkModel};
+use crate::comm::{Cluster, Comm, NetworkModel};
 use crate::error::{ClusterError, ClusterResult, RecoveryPolicy};
 use crate::fault::{corrupted, FaultInjector, FaultPlan, MsgAction};
 use crate::imbalance::ImbalanceReport;
 use crate::node::{name_rank_lane, run_node, NodeInput, NodeReport};
-use crate::schedule::reassignment_makespan;
+use crate::schedule::{reassignment_makespan, simulate, Policy};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 use zonal_core::pipeline::Zones;
-use zonal_core::{PipelineConfig, ZoneHistograms};
+use zonal_core::{PipelineConfig, ZonalResult, ZoneHistograms};
 use zonal_gpusim::DeviceSpec;
 use zonal_raster::partition::{assign_balanced, assign_round_robin, Partition};
 use zonal_raster::srtm::SrtmCatalog;
@@ -40,6 +46,9 @@ pub enum Assignment {
     RoundRobin,
     /// Greedy balance by cell count (the §IV.C improvement direction).
     BalancedByCells,
+    /// Dynamic self-scheduling (§IV.C future work): an idle rank pulls
+    /// the next partition from the master's queue, one request each.
+    Pull,
 }
 
 /// Cluster experiment configuration.
@@ -82,7 +91,7 @@ impl ClusterConfig {
         }
     }
 
-    /// Reject configurations the runners cannot execute meaningfully.
+    /// Reject configurations the runner cannot execute meaningfully.
     pub fn validate(&self) -> ClusterResult<()> {
         if self.n_nodes == 0 {
             return Err(ClusterError::InvalidConfig("n_nodes must be > 0".into()));
@@ -132,16 +141,17 @@ pub struct ClusterRun {
     /// under any recoverable fault plan).
     pub hists: ZoneHistograms,
     /// Per-node reports, rank order. Crashed ranks carry a `failed`
-    /// placeholder (Reassign) or their successful retry's numbers.
+    /// placeholder (Reassign, Pull) or their successful retry's numbers.
     pub nodes: Vec<NodeReport>,
-    /// Simulated end-to-end seconds: slowest node + MPI + master combine
-    /// (the paper's "longest runtime among all the nodes as the wall-clock
-    /// end-to-end runtime", MPI included) + recovery.
+    /// Simulated end-to-end seconds: slowest node (static assignment;
+    /// the paper's "longest runtime among all the nodes as the wall-clock
+    /// end-to-end runtime", MPI included) or the self-scheduling makespan
+    /// over the survivors (`Pull`), + MPI + master combine + recovery.
     pub sim_secs: f64,
     /// Real wall seconds of the whole simulated run.
     pub wall_secs: f64,
-    /// Simulated MPI seconds (histogram gather, retransmissions, and
-    /// injected message delays).
+    /// Simulated MPI seconds (histogram gather, `Pull` work requests,
+    /// retransmissions, and injected message delays).
     pub comm_secs: f64,
     /// Master-side combine seconds (measured; "a small fraction of a
     /// second" in the paper).
@@ -157,55 +167,132 @@ pub struct ClusterRun {
     pub imbalance: ImbalanceReport,
 }
 
-/// Message workers send to the master.
-struct WorkerMsg {
+/// Payload bytes of one `Pull` work request.
+const REQUEST_BYTES: u64 = 16;
+
+/// A rank's merged result over every batch it ran.
+#[derive(Clone)]
+struct Share {
     report: NodeReport,
     hists: ZoneHistograms,
-    /// [`ZoneHistograms::checksum`] of the payload, computed by the
-    /// sender; the master recomputes it to detect in-flight corruption.
-    checksum: u64,
-    /// Injected interconnect delay carried by this message (simulated).
-    delay_secs: f64,
+    /// Simulated seconds of each batch, in the order they were assigned.
+    batch_secs: Vec<f64>,
 }
 
-impl WorkerMsg {
-    fn clean(report: NodeReport, hists: ZoneHistograms) -> Self {
-        let checksum = hists.checksum();
-        WorkerMsg {
-            report,
-            hists,
-            checksum,
-            delay_secs: 0.0,
+impl Share {
+    fn empty(rank: usize, job: &Job) -> Self {
+        Share {
+            report: NodeReport {
+                failed: false,
+                ..NodeReport::failed(rank)
+            },
+            hists: ZoneHistograms::new(job.zones.len(), job.cfg.pipeline.n_bins),
+            batch_secs: Vec::new(),
         }
     }
 
-    fn duplicate(&self) -> Self {
-        WorkerMsg {
-            report: self.report.clone(),
-            hists: self.hists.clone(),
-            checksum: self.checksum,
-            delay_secs: 0.0,
+    fn add(&mut self, result: ZonalResult, report: NodeReport) {
+        self.batch_secs.push(report.sim_secs);
+        if self.batch_secs.len() == 1 {
+            // The first batch is taken whole, so a static share reports
+            // exactly what its one `run_node` call did.
+            self.hists = result.hists;
+            self.report = report;
+            return;
         }
+        self.hists.merge(&result.hists);
+        let r = &mut self.report;
+        r.n_partitions += report.n_partitions;
+        r.sim_secs += report.sim_secs;
+        r.wall_secs += report.wall_secs;
+        r.n_cells += report.n_cells;
+        r.edge_tests += report.edge_tests;
     }
 }
 
-/// Master → worker control messages (the reverse path of the gather).
-enum Ctl {
+/// Worker → master messages.
+enum ToMaster {
+    /// The sender finished its batch and wants the next one.
+    Request,
+    /// The released sender's merged result, the sender-side
+    /// [`ZoneHistograms::checksum`] the master re-verifies to detect
+    /// in-flight corruption, and any injected interconnect delay
+    /// (simulated seconds).
+    Finished(Share, u64, f64),
+}
+
+/// Master → worker messages.
+enum ToWorker {
+    /// Run these partitions (catalog indices), then request more.
+    Assign(Vec<usize>),
+    /// No more work for this rank: report the result.
+    Done,
     /// Result received and verified; the worker may exit.
     Ack,
-    /// Retransmit the result (lost or corrupt first copy), and doubles as
-    /// the liveness probe: a failed `Ctl` send proves the worker thread
-    /// exited without reporting — a crash.
+    /// Retransmit the result (lost or corrupt first copy). Doubles as the
+    /// liveness probe: a failed send proves the worker thread exited
+    /// without reporting — a crash. A worker still computing ignores it.
     Resend,
 }
 
-/// Master-side bookkeeping accumulated during the gather.
-struct GatherState {
-    comm_secs: f64,
-    combine_secs: f64,
-    probe_rounds: usize,
-    retransmits: usize,
-    dead: Vec<usize>,
+/// Hands out batches of partition indices: the only place execution
+/// depends on the [`Assignment`].
+enum Dispenser {
+    /// Each rank's whole share, handed out once as one batch.
+    Static(Vec<Option<Vec<usize>>>),
+    /// One partition per batch from a shared queue, in catalog order.
+    Pull(VecDeque<usize>),
+}
+
+impl Dispenser {
+    fn new(assignment: Assignment, parts: &[Partition], n_nodes: usize) -> Self {
+        let shares = match assignment {
+            Assignment::RoundRobin => assign_round_robin(parts.len(), n_nodes),
+            Assignment::BalancedByCells => {
+                let weights: Vec<u64> = parts.iter().map(Partition::cells).collect();
+                assign_balanced(&weights, n_nodes)
+            }
+            Assignment::Pull => return Dispenser::Pull((0..parts.len()).collect()),
+        };
+        Dispenser::Static(shares.into_iter().map(Some).collect())
+    }
+
+    fn next(&mut self, rank: usize) -> Option<Vec<usize>> {
+        match self {
+            Dispenser::Static(shares) => shares[rank].take(),
+            Dispenser::Pull(queue) => queue.pop_front().map(|p| vec![p]),
+        }
+    }
+
+    /// Take back a dead rank's unreported partitions: a static share
+    /// waits for recovery, pulled partitions go back on the queue.
+    fn requeue(&mut self, rank: usize, orphans: Vec<usize>) {
+        match self {
+            Dispenser::Static(shares) => shares[rank] = Some(orphans),
+            Dispenser::Pull(queue) => queue.extend(orphans),
+        }
+    }
+}
+
+/// What every rank needs to run a batch.
+struct Job<'a> {
+    cfg: &'a ClusterConfig,
+    zones: &'a Zones,
+    parts: &'a [Partition],
+    cell_factor: f64,
+}
+
+impl Job<'_> {
+    /// Run `batch` as `rank` with one [`run_node`] call.
+    fn run(&self, rank: usize, batch: &[usize]) -> (ZonalResult, NodeReport) {
+        let input = NodeInput {
+            rank,
+            partitions: batch.iter().map(|&i| self.parts[i]).collect(),
+            pipeline: self.cfg.pipeline,
+            seed: self.cfg.seed,
+        };
+        run_node(&input, self.zones, self.cell_factor)
+    }
 }
 
 /// Run the full job on a simulated cluster at full-scale extrapolation
@@ -216,155 +303,142 @@ struct GatherState {
 /// bit-identical to a fault-free run.
 pub fn run_cluster(cfg: &ClusterConfig, zones: &Zones) -> ClusterResult<ClusterRun> {
     cfg.validate()?;
-    let t_run = std::time::Instant::now();
+    let t_run = Instant::now();
     let catalog = SrtmCatalog::new(cfg.cells_per_degree);
     let parts: Vec<Partition> = catalog.partitions();
-    let assignment = match cfg.assignment {
-        Assignment::RoundRobin => assign_round_robin(parts.len(), cfg.n_nodes),
-        Assignment::BalancedByCells => {
-            let weights: Vec<u64> = parts.iter().map(Partition::cells).collect();
-            assign_balanced(&weights, cfg.n_nodes)
-        }
+    let f = catalog.scale_factor();
+    let job = Job {
+        cfg,
+        zones,
+        parts: &parts,
+        cell_factor: f * f,
     };
-    let cell_factor = {
-        let f = catalog.scale_factor();
-        f * f
-    };
-
-    let inputs: Vec<NodeInput> = assignment
-        .iter()
-        .enumerate()
-        .map(|(rank, idxs)| NodeInput {
-            rank,
-            partitions: idxs.iter().map(|&i| parts[i]).collect(),
-            pipeline: cfg.pipeline,
-            seed: cfg.seed,
-        })
-        .collect();
-
-    // Wire up rank 0 (master + worker, as in the paper: "the master node
-    // was used to combine per-polygon histograms") and the workers.
-    let comms = Cluster::new::<WorkerMsg>(cfg.n_nodes)?;
+    let comms = Cluster::new::<ToMaster>(cfg.n_nodes)?;
     let injector = FaultInjector::new(&cfg.faults, cfg.n_nodes);
-    let mut reports: Vec<Option<NodeReport>> = vec![None; cfg.n_nodes];
-    let mut hists = ZoneHistograms::new(zones.len(), cfg.pipeline.n_bins);
+    let mut master = Master::new(&job);
 
-    let gather: ClusterResult<GatherState> = std::thread::scope(|s| {
-        // Per-worker control channels for Ack/Resend/probe. Everything
-        // master-side lives inside this closure so an early (FailFast)
-        // return drops the senders and unblocks ack-waiting workers
-        // before the scope joins.
-        let mut ctl_txs: Vec<Option<Sender<Ctl>>> = vec![None; cfg.n_nodes];
+    std::thread::scope(|s| {
+        // Rank 0 is the master plus a worker on this thread, as in the
+        // paper: "the master node was used to combine per-polygon
+        // histograms". Every other rank is a thread with a control channel.
         let mut iter = comms.into_iter();
-        let master = iter.next().expect("n_nodes > 0");
+        let inbox = iter.next().expect("n_nodes > 0");
         for comm in iter {
-            let rank = comm.rank();
-            let (ctl_tx, ctl_rx) = unbounded::<Ctl>();
-            ctl_txs[rank] = Some(ctl_tx);
-            let input = inputs[rank].clone();
-            let zones_ref = &zones;
-            let injector = &injector;
-            s.spawn(move || worker_body(comm, ctl_rx, input, zones_ref, cell_factor, injector));
+            let (tx, rx) = unbounded::<ToWorker>();
+            master.txs[comm.rank()] = Some(tx);
+            let (job, injector) = (&job, &injector);
+            s.spawn(move || worker_body(comm, rx, job, injector));
         }
-        // Master does its own share first…
-        let (own, own_report) = run_node(&inputs[0], zones, cell_factor);
-        hists.merge(&own.hists);
-        reports[0] = Some(own_report);
-        // …then gathers the workers' histograms fault-tolerantly.
-        master_gather(cfg, &master, &ctl_txs, &mut hists, &mut reports)
-    });
-    let gather = gather?;
-
-    let GatherState {
-        mut comm_secs,
-        combine_secs,
-        probe_rounds,
-        retransmits,
-        dead,
-    } = gather;
-    // Each detection round cost the master one idle timeout window.
-    let mut recovery_secs = probe_rounds as f64 * cfg.detect_timeout_secs;
-
-    if !dead.is_empty() {
-        recovery_secs += recover_dead_ranks(
-            cfg,
-            zones,
-            &inputs,
-            &dead,
-            cell_factor,
-            &mut hists,
-            &mut reports,
-            &mut comm_secs,
-        )?;
+        let out = master.run(&inbox);
+        // An early (FailFast) return must unblock every waiting worker
+        // before the scope joins them.
+        master.txs.clear();
+        out
+    })?;
+    if !master.dead.is_empty() {
+        master.recover();
     }
-
-    // The master's own share and any recovery re-execution ran on this
-    // thread (renaming its lane along the way); claim the final name.
+    // Rank 0's batches and any recovery ran on this thread (renaming its
+    // lane along the way); claim the final name.
     if zonal_obs::enabled() {
         zonal_obs::set_lane_name("rank 0 (master)");
     }
 
-    let nodes: Vec<NodeReport> = reports
+    master.dead.sort_unstable();
+    let nodes: Vec<NodeReport> = master
+        .reports
         .into_iter()
         .map(|r| r.expect("all ranks reported or were recovered"))
         .collect();
-    let slowest = nodes.iter().map(|n| n.sim_secs).fold(0.0, f64::max);
-    let imbalance =
-        ImbalanceReport::from_node_secs(&nodes.iter().map(|n| n.sim_secs).collect::<Vec<_>>());
+    let (makespan, loads) = match cfg.assignment {
+        Assignment::Pull => {
+            // Event-model self-scheduling over the measured costs of the
+            // one-partition batches, in catalog order, across the ranks
+            // that survived.
+            master.batches.sort_by(|a, b| a.0.cmp(&b.0));
+            let costs: Vec<f64> = master.batches.iter().map(|&(_, c)| c).collect();
+            let cells: Vec<u64> = parts.iter().map(Partition::cells).collect();
+            let outcome = simulate(
+                Policy::DynamicSelfScheduling,
+                &costs,
+                &cells,
+                cfg.n_nodes - master.dead.len(),
+                cfg.network.message_secs(REQUEST_BYTES),
+            );
+            (outcome.makespan, outcome.node_loads)
+        }
+        // The paper's "longest runtime among all the nodes".
+        Assignment::RoundRobin | Assignment::BalancedByCells => {
+            let secs: Vec<f64> = nodes.iter().map(|n| n.sim_secs).collect();
+            (secs.iter().copied().fold(0.0, f64::max), secs)
+        }
+    };
     Ok(ClusterRun {
-        hists,
-        sim_secs: slowest + comm_secs + combine_secs + recovery_secs,
+        hists: master.hists,
+        sim_secs: makespan + master.comm_secs + master.combine_secs + master.recovery_secs,
         wall_secs: t_run.elapsed().as_secs_f64(),
-        comm_secs,
-        combine_secs,
-        recovery_secs,
-        retransmits,
-        failed_ranks: dead,
-        imbalance,
+        comm_secs: master.comm_secs,
+        combine_secs: master.combine_secs,
+        recovery_secs: master.recovery_secs,
+        retransmits: master.retransmits,
+        failed_ranks: master.dead,
+        imbalance: ImbalanceReport::from_node_secs(&loads),
         nodes,
     })
 }
 
-/// One worker thread: run the share (or crash mid-share), transmit the
-/// result under the injector's message action, then hold the result for
+/// One worker thread: run each assigned batch and ask for more until
+/// released (or until the injected crash point), then transmit the merged
+/// result under the injector's message action and hold it for
 /// retransmission until the master acknowledges it.
-fn worker_body(
-    comm: crate::comm::Comm<WorkerMsg>,
-    ctl_rx: Receiver<Ctl>,
-    input: NodeInput,
-    zones: &Zones,
-    cell_factor: f64,
-    injector: &FaultInjector,
-) {
-    let rank = input.rank;
+fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector: &FaultInjector) {
+    let rank = comm.rank();
     name_rank_lane(rank);
-    if let Some(k) = injector.take_crash_point(rank) {
-        // Crash fault: do (part of) the work, then die silently — the
-        // endpoints drop and the master's probe finds the corpse.
-        let mut truncated = input;
-        truncated
-            .partitions
-            .truncate(k.min(truncated.partitions.len()));
-        let _ = run_node(&truncated, zones, cell_factor);
-        name_rank_lane(rank);
+    let crash_at = injector.take_crash_point(rank);
+    let mut share = Share::empty(rank, job);
+    let mut completed = 0;
+    // Sends ignore errors: a dropped master endpoint means the run was
+    // aborted (FailFast) and this worker should just exit.
+    loop {
+        match rx.recv() {
+            Ok(ToWorker::Assign(batch)) => {
+                // A crash fault cuts the batch at the planned point.
+                let room = crash_at.map_or(batch.len(), |k| batch.len().min(k - completed));
+                let (result, report) = job.run(rank, &batch[..room]);
+                name_rank_lane(rank);
+                completed += room;
+                if crash_at == Some(completed) {
+                    break;
+                }
+                share.add(result, report);
+                if comm.try_send(0, ToMaster::Request).is_err() {
+                    return;
+                }
+            }
+            Ok(ToWorker::Done) => break,
+            Ok(_) => {} // a probe while computing: nothing to resend yet
+            Err(_) => return,
+        }
+    }
+    if crash_at.is_some() {
+        // Crash fault (also when released before the crash point): die
+        // silently — the endpoints drop and the master's probe finds the
+        // corpse.
         zonal_obs::instant(
             "crash",
             &[
                 ("rank", rank as u64),
-                ("completed_partitions", truncated.partitions.len() as u64),
+                ("completed_partitions", completed as u64),
             ],
         );
         return;
     }
-    let (result, report) = run_node(&input, zones, cell_factor);
-    name_rank_lane(rank);
-    let clean = WorkerMsg::clean(report, result.hists);
-    // Sends ignore errors: a dropped master endpoint means the run was
-    // aborted (FailFast) and this worker should just exit.
+    let checksum = share.hists.checksum();
+    let send = |share, delay_secs| {
+        let _ = comm.try_send(0, ToMaster::Finished(share, checksum, delay_secs));
+    };
     match injector.take_msg_action(rank) {
-        MsgAction::Deliver => {
-            let _ = comm.try_send(0, clean.duplicate());
-        }
+        MsgAction::Deliver => send(share.clone(), 0.0),
         MsgAction::Drop => {
             // First transmission lost in the interconnect.
             zonal_obs::instant("message dropped", &[("rank", rank as u64)]);
@@ -374,215 +448,284 @@ fn worker_body(
                 "message delayed",
                 &[("rank", rank as u64), ("delay_ms", (secs * 1e3) as u64)],
             );
-            let mut late = clean.duplicate();
-            late.delay_secs = secs;
-            let _ = comm.try_send(0, late);
+            send(share.clone(), secs);
         }
         MsgAction::Corrupt => {
             zonal_obs::instant("message corrupted", &[("rank", rank as u64)]);
             // Payload mangled in flight; the checksum still describes the
             // original, so the master will catch the mismatch.
-            let _ = comm.try_send(
-                0,
-                WorkerMsg {
-                    report: clean.report.clone(),
-                    hists: corrupted(&clean.hists),
-                    checksum: clean.checksum,
-                    delay_secs: 0.0,
+            let hists = corrupted(&share.hists);
+            send(
+                Share {
+                    hists,
+                    ..share.clone()
                 },
+                0.0,
             );
         }
     }
     // Hold the clean result until the master acknowledges it.
     loop {
-        match ctl_rx.recv() {
-            Ok(Ctl::Ack) => return,
-            Ok(Ctl::Resend) => {
-                let _ = comm.try_send(0, clean.duplicate());
-            }
-            Err(_) => return, // master gone: run aborted
+        match rx.recv() {
+            Ok(ToWorker::Resend) => send(share.clone(), 0.0),
+            Ok(ToWorker::Ack) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }
 
-/// Master-side gather loop: merge verified results, request resends for
-/// lost/corrupt ones, and declare ranks dead when their control channel
-/// probe fails. Returns early with the first failure under `FailFast`.
-fn master_gather(
-    cfg: &ClusterConfig,
-    master: &crate::comm::Comm<WorkerMsg>,
-    ctl_txs: &[Option<Sender<Ctl>>],
-    hists: &mut ZoneHistograms,
-    reports: &mut [Option<NodeReport>],
-) -> ClusterResult<GatherState> {
-    let mut state = GatherState {
-        comm_secs: 0.0,
-        combine_secs: 0.0,
-        probe_rounds: 0,
-        retransmits: 0,
-        dead: Vec::new(),
-    };
-    let mut pending: Vec<bool> = (0..cfg.n_nodes).map(|r| r != 0).collect();
-    // Ranks we asked to retransmit; their eventual delivery counts as one.
-    let mut probed = vec![false; cfg.n_nodes];
-    let window = Duration::from_secs_f64(cfg.detect_timeout_secs);
-
-    while pending.iter().any(|&p| p) {
-        match master.recv_timeout(window) {
-            Ok((from, msg)) => {
-                let cost = cfg.network.message_secs(msg.hists.output_bytes());
-                if !pending[from] {
-                    // Duplicate of an already-merged result (spurious
-                    // probe); it still crossed the interconnect.
-                    state.comm_secs += cost;
-                    state.retransmits += 1;
-                    continue;
-                }
-                let got = msg.hists.checksum();
-                if got != msg.checksum {
-                    zonal_obs::instant("corrupt payload detected", &[("from", from as u64)]);
-                    if !cfg.recovery.recovers() {
-                        return Err(ClusterError::CorruptPayload {
-                            from,
-                            expected: msg.checksum,
-                            got,
-                        });
-                    }
-                    // The corrupt copy wasted its transfer; ask for a
-                    // clean one. If the worker died meanwhile the probe
-                    // path below will notice.
-                    state.comm_secs += cost;
-                    probed[from] = true;
-                    if let Some(tx) = &ctl_txs[from] {
-                        let _ = tx.send(Ctl::Resend);
-                    }
-                    continue;
-                }
-                state.comm_secs += cost + msg.delay_secs;
-                if probed[from] {
-                    state.retransmits += 1;
-                }
-                let t_combine = std::time::Instant::now();
-                hists.merge(&msg.hists);
-                state.combine_secs += t_combine.elapsed().as_secs_f64();
-                reports[from] = Some(msg.report);
-                pending[from] = false;
-                if let Some(tx) = &ctl_txs[from] {
-                    let _ = tx.send(Ctl::Ack);
-                }
-            }
-            Err(ClusterError::RecvTimeout { .. }) => {
-                // Nobody reported for a full window: probe every
-                // outstanding rank. A successful control send nudges a
-                // live worker to retransmit; a failed one proves the
-                // worker exited without reporting — a crash.
-                state.probe_rounds += 1;
-                zonal_obs::instant("probe round", &[("round", state.probe_rounds as u64)]);
-                for rank in 1..cfg.n_nodes {
-                    if !pending[rank] {
-                        continue;
-                    }
-                    let alive = ctl_txs[rank]
-                        .as_ref()
-                        .map(|tx| tx.send(Ctl::Resend).is_ok())
-                        .unwrap_or(false);
-                    if alive {
-                        probed[rank] = true;
-                    } else {
-                        pending[rank] = false;
-                        state.dead.push(rank);
-                        zonal_obs::instant("worker declared dead", &[("rank", rank as u64)]);
-                        if !cfg.recovery.recovers() {
-                            return Err(ClusterError::NodeCrashed {
-                                rank,
-                                completed_partitions: cfg.faults.crash_point(rank).unwrap_or(0),
-                            });
-                        }
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    state.dead.sort_unstable();
-    Ok(state)
+/// The master's state machine: dispenses batches, merges verified
+/// results, retransmits, detects dead ranks and recovers their work.
+struct Master<'a> {
+    job: &'a Job<'a>,
+    dispenser: Dispenser,
+    /// Control channel to each worker (none for rank 0).
+    txs: Vec<Option<Sender<ToWorker>>>,
+    hists: ZoneHistograms,
+    reports: Vec<Option<NodeReport>>,
+    /// Batches handed to each rank and not yet reported.
+    given: Vec<Vec<Vec<usize>>>,
+    /// Reported batches with their simulated seconds.
+    batches: Vec<(Vec<usize>, f64)>,
+    /// Worker ranks whose result is still outstanding.
+    pending: Vec<bool>,
+    /// Ranks asked to retransmit; their eventual delivery counts as one.
+    probed: Vec<bool>,
+    dead: Vec<usize>,
+    comm_secs: f64,
+    combine_secs: f64,
+    recovery_secs: f64,
+    probe_rounds: usize,
+    retransmits: usize,
 }
 
-/// Repair crashed ranks after the gather: re-execute their shares per the
-/// recovery policy, merging the recomputed histograms so the final result
-/// matches a fault-free run. Returns the simulated recovery seconds.
-#[allow(clippy::too_many_arguments)] // recovery touches every accumulator
-fn recover_dead_ranks(
-    cfg: &ClusterConfig,
-    zones: &Zones,
-    inputs: &[NodeInput],
-    dead: &[usize],
-    cell_factor: f64,
-    hists: &mut ZoneHistograms,
-    reports: &mut [Option<NodeReport>],
-    comm_secs: &mut f64,
-) -> ClusterResult<f64> {
-    let mut recovery_secs = 0.0;
-    match cfg.recovery {
-        RecoveryPolicy::FailFast => {
-            // master_gather already returned the error.
-            unreachable!("FailFast never reaches recovery")
+impl<'a> Master<'a> {
+    fn new(job: &'a Job<'a>) -> Self {
+        let n = job.cfg.n_nodes;
+        Master {
+            job,
+            dispenser: Dispenser::new(job.cfg.assignment, job.parts, n),
+            txs: vec![None; n],
+            hists: ZoneHistograms::new(job.zones.len(), job.cfg.pipeline.n_bins),
+            reports: vec![None; n],
+            given: vec![Vec::new(); n],
+            batches: Vec::new(),
+            pending: (0..n).map(|r| r != 0).collect(),
+            probed: vec![false; n],
+            dead: Vec::new(),
+            comm_secs: 0.0,
+            combine_secs: 0.0,
+            recovery_secs: 0.0,
+            probe_rounds: 0,
+            retransmits: 0,
         }
-        RecoveryPolicy::Retry {
-            max_attempts,
-            backoff_secs,
-        } => {
-            for &rank in dead {
-                // Faults are one-shot, so the first fresh attempt runs
-                // clean; max_attempts is still honored as the budget.
-                if max_attempts == 0 {
-                    return Err(ClusterError::RecoveryExhausted { rank, attempts: 0 });
+    }
+
+    /// Prime every worker with its first batch, then run rank 0's batches
+    /// between inbox drains and gather the workers' results
+    /// fault-tolerantly. Returns early with the first failure under
+    /// `FailFast`.
+    fn run(&mut self, inbox: &Comm<ToMaster>) -> ClusterResult<()> {
+        for rank in 1..self.pending.len() {
+            self.reply(rank)?;
+        }
+        let window = Duration::from_secs_f64(self.job.cfg.detect_timeout_secs);
+        let mut own = Share::empty(0, self.job);
+        loop {
+            // Rank 0 also picks up partitions requeued from dead `Pull`
+            // ranks, so nothing is left queued under `Pull` at the end.
+            while let Some(batch) = self.dispenser.next(0) {
+                let (result, report) = self.job.run(0, &batch);
+                self.given[0].push(batch);
+                own.add(result, report);
+                while let Ok((from, msg)) = inbox.recv_timeout(Duration::ZERO) {
+                    self.handle(from, msg)?;
                 }
+            }
+            if !self.pending.contains(&true) {
+                break;
+            }
+            match inbox.recv_timeout(window) {
+                Ok((from, msg)) => self.handle(from, msg)?,
+                Err(ClusterError::RecvTimeout { .. }) => self.probe()?,
+                Err(e) => return Err(e),
+            }
+        }
+        self.hists.merge(&own.hists);
+        self.record(0, own);
+        Ok(())
+    }
+
+    fn handle(&mut self, from: usize, msg: ToMaster) -> ClusterResult<()> {
+        let cfg = self.job.cfg;
+        let (share, checksum, delay_secs) = match msg {
+            ToMaster::Request => {
+                if self.reply(from)? {
+                    // A pulled batch costs its request message.
+                    self.comm_secs += cfg.network.message_secs(REQUEST_BYTES);
+                }
+                return Ok(());
+            }
+            ToMaster::Finished(share, checksum, delay_secs) => (share, checksum, delay_secs),
+        };
+        let cost = cfg.network.message_secs(share.hists.output_bytes());
+        if !self.pending[from] {
+            // Duplicate of an already-merged result (spurious probe); it
+            // still crossed the interconnect.
+            self.comm_secs += cost;
+            self.retransmits += 1;
+            return Ok(());
+        }
+        let got = share.hists.checksum();
+        if got != checksum {
+            zonal_obs::instant("corrupt payload detected", &[("from", from as u64)]);
+            if !cfg.recovery.recovers() {
+                return Err(ClusterError::CorruptPayload {
+                    from,
+                    expected: checksum,
+                    got,
+                });
+            }
+            // The corrupt copy wasted its transfer; ask for a clean one.
+            // If the worker died meanwhile the probe will notice.
+            self.comm_secs += cost;
+            self.probed[from] = true;
+            self.send(from, ToWorker::Resend);
+            return Ok(());
+        }
+        self.comm_secs += cost + delay_secs;
+        if self.probed[from] {
+            self.retransmits += 1;
+        }
+        let t_combine = Instant::now();
+        self.hists.merge(&share.hists);
+        self.combine_secs += t_combine.elapsed().as_secs_f64();
+        self.record(from, share);
+        self.send(from, ToWorker::Ack);
+        Ok(())
+    }
+
+    /// File `rank`'s merged result, pairing its batch costs with the
+    /// batches it was given.
+    fn record(&mut self, rank: usize, share: Share) {
+        let given = std::mem::take(&mut self.given[rank]);
+        self.batches.extend(given.into_iter().zip(share.batch_secs));
+        self.reports[rank] = Some(share.report);
+        self.pending[rank] = false;
+    }
+
+    /// Send `rank` its next batch, or release it if the dispenser has none
+    /// for it. Returns whether a batch went out.
+    fn reply(&mut self, rank: usize) -> ClusterResult<bool> {
+        let msg = match self.dispenser.next(rank) {
+            Some(batch) => {
+                self.given[rank].push(batch.clone());
+                ToWorker::Assign(batch)
+            }
+            None => ToWorker::Done,
+        };
+        let assigned = matches!(msg, ToWorker::Assign(_));
+        if !self.send(rank, msg) {
+            self.mark_dead(rank)?;
+        }
+        Ok(assigned)
+    }
+
+    /// Nobody reported for a full window: probe every outstanding rank. A
+    /// delivered probe nudges a live worker to retransmit; a failed one
+    /// proves the worker exited without reporting — a crash. Each round
+    /// costs the master one idle detection window.
+    fn probe(&mut self) -> ClusterResult<()> {
+        self.probe_rounds += 1;
+        self.recovery_secs += self.job.cfg.detect_timeout_secs;
+        zonal_obs::instant("probe round", &[("round", self.probe_rounds as u64)]);
+        for rank in 1..self.pending.len() {
+            if !self.pending[rank] {
+                continue;
+            }
+            if self.send(rank, ToWorker::Resend) {
+                self.probed[rank] = true;
+            } else {
+                self.mark_dead(rank)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `msg` reached `rank`'s control channel.
+    fn send(&self, rank: usize, msg: ToWorker) -> bool {
+        self.txs[rank]
+            .as_ref()
+            .is_some_and(|tx| tx.send(msg).is_ok())
+    }
+
+    /// Declare `rank` dead and hand its unreported partitions back to the
+    /// dispenser; under `FailFast`, fail the run instead.
+    fn mark_dead(&mut self, rank: usize) -> ClusterResult<()> {
+        let orphans = std::mem::take(&mut self.given[rank]).concat();
+        zonal_obs::instant(
+            "worker declared dead",
+            &[("rank", rank as u64), ("orphans", orphans.len() as u64)],
+        );
+        self.pending[rank] = false;
+        self.dead.push(rank);
+        if !self.job.cfg.recovery.recovers() {
+            let planned = self.job.cfg.faults.crash_point(rank).unwrap_or(0);
+            return Err(ClusterError::NodeCrashed {
+                rank,
+                completed_partitions: planned.min(orphans.len()),
+            });
+        }
+        self.dispenser.requeue(rank, orphans);
+        Ok(())
+    }
+
+    /// Recover the shares of dead static ranks, still in the dispenser
+    /// after the gather, merging their histograms so the result matches a
+    /// fault-free run and charging their simulated cost per the policy.
+    /// Under `Pull`, live ranks already picked up every orphan.
+    fn recover(&mut self) {
+        let (job, cfg) = (self.job, self.job.cfg);
+        for &rank in &self.dead {
+            self.reports[rank] = Some(NodeReport::failed(rank));
+        }
+        let shares = match &mut self.dispenser {
+            Dispenser::Static(shares) => std::mem::take(shares),
+            Dispenser::Pull(_) => return,
+        };
+        let mut orphan_costs = Vec::new();
+        for (rank, share) in shares.into_iter().enumerate() {
+            let Some(share) = share else { continue };
+            if let RecoveryPolicy::Retry { backoff_secs, .. } = cfg.recovery {
+                // Faults are one-shot, so the first fresh attempt runs clean.
                 zonal_obs::instant("rank retried", &[("rank", rank as u64)]);
-                let (res, mut report) = run_node(&inputs[rank], zones, cell_factor);
+                let (result, mut report) = job.run(rank, &share);
                 report.failed = true; // the rank did fail before the retry
-                recovery_secs += backoff_secs + report.sim_secs;
-                *comm_secs += cfg.network.message_secs(res.hists.output_bytes());
-                hists.merge(&res.hists);
-                reports[rank] = Some(report);
+                self.recovery_secs += backoff_secs + report.sim_secs;
+                self.comm_secs += cfg.network.message_secs(result.hists.output_bytes());
+                self.hists.merge(&result.hists);
+                self.reports[rank] = Some(report);
+                continue;
+            }
+            // Reassign: execution is real (and order-independent under
+            // merge); the simulated cost is the LPT makespan across
+            // survivors.
+            zonal_obs::instant(
+                "partitions reassigned",
+                &[("rank", rank as u64), ("orphans", share.len() as u64)],
+            );
+            for p in share {
+                let (result, report) = job.run(rank, &[p]);
+                self.hists.merge(&result.hists);
+                orphan_costs.push(report.sim_secs);
             }
         }
-        RecoveryPolicy::Reassign => {
-            // Redistribute every orphaned partition over the survivors;
-            // execution is real (and order-independent under merge), the
-            // simulated cost is the LPT makespan across survivors.
-            let n_survivors = cfg.n_nodes - dead.len();
-            debug_assert!(n_survivors >= 1, "plan validation keeps a survivor");
-            let mut orphan_costs = Vec::new();
-            for &rank in dead {
-                zonal_obs::instant(
-                    "partitions reassigned",
-                    &[
-                        ("rank", rank as u64),
-                        ("orphans", inputs[rank].partitions.len() as u64),
-                    ],
-                );
-                for part in &inputs[rank].partitions {
-                    let one = NodeInput {
-                        rank,
-                        partitions: vec![*part],
-                        pipeline: cfg.pipeline,
-                        seed: cfg.seed,
-                    };
-                    let (res, rep) = run_node(&one, zones, cell_factor);
-                    hists.merge(&res.hists);
-                    orphan_costs.push(rep.sim_secs);
-                }
-                reports[rank] = Some(NodeReport::failed(rank));
-            }
-            recovery_secs += reassignment_makespan(&orphan_costs, n_survivors);
-            // Each survivor that took orphans sends one more result
-            // message to the master.
-            let senders = orphan_costs.len().min(n_survivors);
-            *comm_secs += senders as f64 * cfg.network.message_secs(hists.output_bytes());
-        }
+        let n_survivors = cfg.n_nodes - self.dead.len();
+        self.recovery_secs += reassignment_makespan(&orphan_costs, n_survivors);
+        // Each survivor that took orphans sends one more result message.
+        let senders = orphan_costs.len().min(n_survivors);
+        self.comm_secs += senders as f64 * cfg.network.message_secs(self.hists.output_bytes());
     }
-    Ok(recovery_secs)
 }
 
 /// One point of the Fig. 6 curve.
@@ -868,5 +1011,133 @@ mod tests {
         let run = run_cluster(&faulty_cfg(4, plan, RecoveryPolicy::Reassign), &zones).unwrap();
         assert_eq!(run.hists, clean.hists);
         assert_eq!(run.failed_ranks, vec![1, 3]);
+    }
+
+    #[test]
+    fn master_share_never_pays_detection() {
+        // A 1-node run has no worker to wait for, so even a tiny
+        // detection window never fires.
+        let mut cfg = tiny_cfg(1);
+        cfg.detect_timeout_secs = 0.001;
+        let run = run_cluster(&cfg, &tiny_zones()).unwrap();
+        assert_eq!(run.recovery_secs, 0.0);
+        assert_eq!(run.retransmits, 0);
+    }
+
+    #[test]
+    fn failfast_crash_reports_partitions_the_rank_completed() {
+        let zones = tiny_zones();
+        // The planned crash point lies past rank 2's 9-partition share.
+        let plan = FaultPlan::none().with_crash(2, 100);
+        match run_cluster(&faulty_cfg(4, plan, RecoveryPolicy::FailFast), &zones) {
+            Err(ClusterError::NodeCrashed {
+                rank: 2,
+                completed_partitions,
+            }) => assert_eq!(completed_partitions, 9),
+            other => panic!("expected NodeCrashed for rank 2, got {other:?}"),
+        }
+        let mut cfg = faulty_cfg(
+            4,
+            FaultPlan::none().with_crash(1, 2),
+            RecoveryPolicy::FailFast,
+        );
+        cfg.assignment = Assignment::Pull;
+        match run_cluster(&cfg, &zones) {
+            Err(ClusterError::NodeCrashed {
+                rank: 1,
+                completed_partitions,
+            }) => assert_eq!(completed_partitions, 2),
+            other => panic!("expected NodeCrashed for rank 1, got {other:?}"),
+        }
+    }
+
+    fn pull_cfg(n_nodes: usize) -> ClusterConfig {
+        let mut cfg = tiny_cfg(n_nodes);
+        cfg.assignment = Assignment::Pull;
+        cfg
+    }
+
+    fn pull_faulty(n_nodes: usize, faults: FaultPlan) -> ClusterConfig {
+        let mut cfg = faulty_cfg(n_nodes, faults, RecoveryPolicy::Reassign);
+        cfg.assignment = Assignment::Pull;
+        cfg
+    }
+
+    #[test]
+    fn pull_single_node() {
+        let run = run_cluster(&pull_cfg(1), &tiny_zones()).unwrap();
+        assert_eq!(run.nodes.len(), 1);
+        assert_eq!(run.nodes[0].n_partitions, 36);
+        assert!(run.sim_secs > 0.0);
+    }
+
+    #[test]
+    fn pull_costs_requests_on_the_configured_network() {
+        let mut cfg = pull_cfg(1);
+        cfg.network.latency_secs = 0.1;
+        let run = run_cluster(&cfg, &tiny_zones()).unwrap();
+        let makespan = run.sim_secs - run.comm_secs - run.combine_secs - run.recovery_secs;
+        // One request round trip per partition, at the configured latency.
+        let requests = makespan - run.nodes[0].sim_secs;
+        assert!(
+            (requests - 36.0 * 0.1).abs() < 1e-6,
+            "request time {requests}"
+        );
+    }
+
+    #[test]
+    fn pull_processes_all_cells_once() {
+        let run = run_cluster(&pull_cfg(6), &tiny_zones()).unwrap();
+        let expected: u64 = SrtmCatalog::new(4).total_cells();
+        assert_eq!(run.nodes.iter().map(|n| n.n_cells).sum::<u64>(), expected);
+        assert_eq!(run.nodes.iter().map(|n| n.n_partitions).sum::<usize>(), 36);
+    }
+
+    #[test]
+    fn pull_balances_at_least_as_well_as_static() {
+        let zones = tiny_zones();
+        let stat = run_cluster(&tiny_cfg(8), &zones).unwrap();
+        let pull = run_cluster(&pull_cfg(8), &zones).unwrap();
+        // Compare imbalance of simulated node loads.
+        assert!(
+            pull.imbalance.max_over_mean <= stat.imbalance.max_over_mean + 0.05,
+            "pull {:.3} vs static {:.3}",
+            pull.imbalance.max_over_mean,
+            stat.imbalance.max_over_mean
+        );
+    }
+
+    #[test]
+    fn pull_crash_under_reassign_matches_fault_free() {
+        let zones = tiny_zones();
+        let clean = run_cluster(&pull_cfg(4), &zones).unwrap();
+        let run = run_cluster(&pull_faulty(4, FaultPlan::none().with_crash(2, 1)), &zones).unwrap();
+        assert_eq!(
+            run.hists, clean.hists,
+            "requeueing preserves the answer bit-for-bit"
+        );
+        assert_eq!(run.failed_ranks, vec![2]);
+        assert!(run.nodes[2].failed);
+        assert!(run.recovery_secs > 0.0, "detection windows are charged");
+    }
+
+    #[test]
+    fn pull_crash_under_failfast_is_a_typed_error() {
+        let mut cfg = pull_faulty(4, FaultPlan::none().with_crash(1, 0));
+        cfg.recovery = RecoveryPolicy::FailFast;
+        match run_cluster(&cfg, &tiny_zones()) {
+            Err(ClusterError::NodeCrashed { rank: 1, .. }) => {}
+            other => panic!("expected NodeCrashed for worker 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pull_dropped_report_is_retransmitted() {
+        let zones = tiny_zones();
+        let clean = run_cluster(&pull_cfg(3), &zones).unwrap();
+        let run = run_cluster(&pull_faulty(3, FaultPlan::none().with_drop(1)), &zones).unwrap();
+        assert_eq!(run.hists, clean.hists);
+        assert!(run.retransmits >= 1, "the lost report was resent");
+        assert!(run.failed_ranks.is_empty());
     }
 }

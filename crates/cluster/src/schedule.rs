@@ -136,7 +136,7 @@ pub fn simulate(
 /// node's share) across `n_survivors` surviving nodes: greedy
 /// longest-processing-time assignment, each orphan to the currently
 /// least-loaded survivor. This is the recovery cost the fault-tolerant
-/// runners add to the end-to-end time after a reassignment.
+/// runner adds to the end-to-end time after a reassignment.
 pub fn reassignment_makespan(orphan_costs: &[f64], n_survivors: usize) -> f64 {
     assert!(n_survivors > 0, "reassignment needs at least one survivor");
     let mut order: Vec<usize> = (0..orphan_costs.len()).collect();

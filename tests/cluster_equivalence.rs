@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use zonal_histo::cluster::{
-    run_cluster, run_dynamic, Assignment, ClusterConfig, ClusterError, FaultPlan, RecoveryPolicy,
+    run_cluster, Assignment, ClusterConfig, ClusterError, FaultPlan, RecoveryPolicy,
 };
 use zonal_histo::geo::CountyConfig;
 use zonal_histo::zonal::pipeline::Zones;
@@ -60,10 +60,17 @@ fn all_node_counts_agree() {
 fn assignment_policies_agree() {
     let zones = zones();
     let rr = run_cluster(&cfg(8), zones).unwrap();
-    let mut bcfg = cfg(8);
-    bcfg.assignment = Assignment::BalancedByCells;
-    let bal = run_cluster(&bcfg, zones).unwrap();
-    assert_eq!(rr.hists, bal.hists);
+    for assignment in [Assignment::BalancedByCells, Assignment::Pull] {
+        let mut c = cfg(8);
+        c.assignment = assignment;
+        let run = run_cluster(&c, zones).unwrap();
+        assert_eq!(rr.hists, run.hists, "{assignment:?} changes the answer");
+        assert_eq!(
+            run.nodes.iter().map(|n| n.n_partitions).sum::<usize>(),
+            36,
+            "{assignment:?} processes every partition exactly once"
+        );
+    }
 }
 
 #[test]
@@ -137,8 +144,9 @@ proptest! {
     /// Chaos property: any seeded fault plan that crashes fewer than
     /// `n_nodes - 1` workers (so at least one survives) must, under
     /// `Reassign`, produce histograms bit-identical to a fault-free run —
-    /// in both the static and the self-scheduling runner — while charging
-    /// a nonzero recovery cost whenever something actually crashed.
+    /// under a static assignment (round-robin or balanced, by seed
+    /// parity) and under `Pull` — while charging a nonzero recovery cost
+    /// whenever something actually crashed.
     #[test]
     fn survivable_fault_plans_preserve_results(plan_seed in 0u64..10_000, n in 3usize..6) {
         let zones = zones();
@@ -147,23 +155,24 @@ proptest! {
 
         let clean = clean_hists(n);
 
-        let mut faulty = chaos_cfg(n);
-        faulty.faults = plan.clone();
-        faulty.recovery = RecoveryPolicy::Reassign;
-        let run = run_cluster(&faulty, zones).unwrap();
-        prop_assert_eq!(&run.hists, clean, "static runner under plan {:?}", plan);
         let mut crashed = plan.crashed_ranks();
         crashed.sort_unstable();
-        prop_assert_eq!(&run.failed_ranks, &crashed);
-        if !crashed.is_empty() {
-            prop_assert!(run.recovery_secs > 0.0, "crash recovery is not free");
+        let fixed = if plan_seed % 2 == 0 {
+            Assignment::RoundRobin
+        } else {
+            Assignment::BalancedByCells
+        };
+        for assignment in [fixed, Assignment::Pull] {
+            let mut faulty = chaos_cfg(n);
+            faulty.assignment = assignment;
+            faulty.faults = plan.clone();
+            faulty.recovery = RecoveryPolicy::Reassign;
+            let run = run_cluster(&faulty, zones).unwrap();
+            prop_assert_eq!(&run.hists, clean, "{:?} under plan {:?}", assignment, plan);
+            prop_assert_eq!(&run.failed_ranks, &crashed);
+            if !crashed.is_empty() {
+                prop_assert!(run.recovery_secs > 0.0, "crash recovery is not free");
+            }
         }
-
-        let mut dyn_faulty = chaos_cfg(n);
-        dyn_faulty.faults = plan.clone();
-        dyn_faulty.recovery = RecoveryPolicy::Reassign;
-        let dyn_run = run_dynamic(&dyn_faulty, zones).unwrap();
-        prop_assert_eq!(&dyn_run.hists, clean, "dynamic runner under plan {:?}", plan);
-        prop_assert_eq!(&dyn_run.failed_ranks, &crashed);
     }
 }
