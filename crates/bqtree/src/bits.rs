@@ -1,16 +1,19 @@
-//! Bit-granular writer/reader over byte buffers.
+//! Word-buffered bit writer and reader over byte buffers.
 //!
-//! The BQ-Tree bitstream mixes 2-bit node codes with 16-bit literal leaves;
-//! these helpers keep that packing honest and testable in isolation.
-
-use bytes::{BufMut, Bytes, BytesMut};
+//! The BQ-Tree bitstream mixes 2-bit node codes with 16-bit literal leaves,
+//! packed LSB-first within each byte. Both ends keep a 64-bit buffer and
+//! move whole words between it and the byte buffer, so reading or writing a
+//! field is a mask and a shift rather than a loop over bytes.
 
 /// Append-only bit writer. Bits are packed LSB-first within each byte.
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    buf: BytesMut,
-    /// Bits already used in the trailing partial byte (0..8).
-    partial: u32,
+    /// Whole words flushed so far, as little-endian bytes.
+    buf: Vec<u8>,
+    /// Pending bits, LSB-first; only the low `pending` bits are set.
+    acc: u64,
+    /// Bits held in `acc` (0..64).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -20,37 +23,31 @@ impl BitWriter {
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.partial == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.partial as usize
-        }
+        self.buf.len() * 8 + self.pending as usize
     }
 
     /// Write the low `n` bits of `v` (n ≤ 32), LSB-first.
+    #[inline]
     pub fn put(&mut self, v: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(n == 32 || v < (1u32 << n), "value {v} wider than {n} bits");
-        let mut v = v as u64;
-        let mut n = n;
-        while n > 0 {
-            if self.partial == 0 {
-                self.buf.put_u8(0);
-            }
-            let free = 8 - self.partial;
-            let take = free.min(n);
-            let byte_idx = self.buf.len() - 1;
-            let mask = ((1u64 << take) - 1) & v;
-            self.buf[byte_idx] |= (mask as u8) << self.partial;
-            v >>= take;
-            n -= take;
-            self.partial = (self.partial + take) % 8;
+        let v = u64::from(v) & ((1u64 << n) - 1);
+        self.acc |= v << self.pending;
+        self.pending += n;
+        if self.pending >= 64 {
+            self.buf.extend_from_slice(&self.acc.to_le_bytes());
+            self.pending -= 64;
+            // The bits of `v` that did not fit. `n ≤ 32` puts the old
+            // `pending` in 32..64, so the shift is in 1..=32.
+            self.acc = v >> (n - self.pending);
         }
     }
 
     /// Finish, returning the packed bytes (trailing bits zero-padded).
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(mut self) -> Vec<u8> {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.buf
     }
 }
 
@@ -58,41 +55,68 @@ impl BitWriter {
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Absolute bit cursor.
-    pos: usize,
+    /// Index of the first byte of `data` not yet counted in `avail`.
+    next: usize,
+    /// Unread bits, LSB-first. The low `avail` bits are valid; above them
+    /// `buf` may already hold the leading bits of `data[next]`, which the
+    /// next refill writes again with the same values.
+    buf: u64,
+    /// Valid bits in `buf` (0..64).
+    avail: u32,
 }
 
 impl<'a> BitReader<'a> {
     pub fn new(data: &'a [u8]) -> Self {
-        BitReader { data, pos: 0 }
+        BitReader {
+            data,
+            next: 0,
+            buf: 0,
+            avail: 0,
+        }
     }
 
     /// Bits remaining.
     pub fn remaining(&self) -> usize {
-        self.data.len() * 8 - self.pos
+        (self.data.len() - self.next) * 8 + self.avail as usize
     }
 
     /// Current bit position.
     pub fn position(&self) -> usize {
-        self.pos
+        self.next * 8 - self.avail as usize
+    }
+
+    /// Top `buf` up with whole bytes: one unaligned word load while eight
+    /// bytes remain, byte by byte at the end of the stream. Leaves at least
+    /// 57 valid bits unless the stream is exhausted.
+    #[cold]
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.next..self.next + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            self.buf |= word << self.avail;
+            let bytes = (63 - self.avail) / 8;
+            self.next += bytes as usize;
+            self.avail += bytes * 8;
+        } else {
+            while self.avail <= 56 && self.next < self.data.len() {
+                self.buf |= u64::from(self.data[self.next]) << self.avail;
+                self.next += 1;
+                self.avail += 8;
+            }
+        }
     }
 
     /// Read `n` bits (n ≤ 32), LSB-first. Panics past the end.
+    #[inline]
     pub fn get(&mut self, n: u32) -> u32 {
-        assert!(self.remaining() >= n as usize, "bitstream underrun");
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < n {
-            let byte = self.data[self.pos / 8] as u64;
-            let bit_off = (self.pos % 8) as u32;
-            let avail = 8 - bit_off;
-            let take = avail.min(n - got);
-            let bits = (byte >> bit_off) & ((1 << take) - 1);
-            out |= bits << got;
-            got += take;
-            self.pos += take as usize;
+        debug_assert!(n <= 32);
+        if self.avail < n {
+            self.refill();
+            assert!(self.avail >= n, "bitstream underrun");
         }
-        out as u32
+        let v = self.buf & ((1u64 << n) - 1);
+        self.buf >>= n;
+        self.avail -= n;
+        v as u32
     }
 }
 
@@ -159,6 +183,76 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         r.get(8);
         r.get(1);
+    }
+
+    /// Reference packing: one bit at a time, LSB-first within each byte.
+    fn pack_bitwise(fields: &[(u32, u32)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        for &(v, n) in fields {
+            for i in 0..n {
+                if pos.is_multiple_of(8) {
+                    out.push(0);
+                }
+                if (v >> i) & 1 == 1 {
+                    out[pos / 8] |= 1 << (pos % 8);
+                }
+                pos += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn word_buffering_matches_bitwise_packing() {
+        // Widths 1..=32 in a rotating order, so fields straddle every byte
+        // and word boundary; long enough to take both refill paths.
+        let mut state = 0x2545_F491_u32;
+        let fields: Vec<(u32, u32)> = (0..700u32)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                let n = i * 7 % 32 + 1;
+                (
+                    if n == 32 {
+                        state
+                    } else {
+                        state & ((1 << n) - 1)
+                    },
+                    n,
+                )
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        for &(v, n) in &fields {
+            w.put(v, n);
+        }
+        let total: usize = fields.iter().map(|&(_, n)| n as usize).sum();
+        assert_eq!(w.bit_len(), total);
+        let bytes = w.finish();
+        assert_eq!(bytes, pack_bitwise(&fields));
+        let mut r = BitReader::new(&bytes);
+        for &(v, n) in &fields {
+            assert_eq!(r.get(n), v);
+        }
+        assert_eq!(r.position(), total);
+        assert_eq!(r.remaining(), bytes.len() * 8 - total);
+    }
+
+    #[test]
+    fn reads_to_the_last_bit_then_underruns() {
+        // 9 bytes: one word load, then the byte-wise tail.
+        let bytes: Vec<u8> = (1..=9).collect();
+        let mut r = BitReader::new(&bytes);
+        let mut got = Vec::new();
+        for _ in 0..9 {
+            got.push(r.get(8) as u8);
+        }
+        assert_eq!(got, bytes);
+        assert_eq!(r.remaining(), 0);
+        let err = std::panic::catch_unwind(move || r.get(1)).expect_err("read past the end");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"bitstream underrun"));
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!
 //! Tiles are padded to a power-of-two square internally (pad bits are 0)
 //! and cropped on decode, so any tile shape round-trips exactly.
+//!
+//! The host codec works a word at a time ([`bits`], [`plane`]): the bit
+//! streams move 64-bit words, the encoder tests regions with one masked
+//! word per row, and the decoder ORs each leaf straight into the tile's
+//! cells. The bytes it writes are pinned by golden digests of the whole
+//! catalog, so `ZBQT` files and the compression ratios do not depend on
+//! how the host gets there.
 
 pub mod bits;
 pub mod codec;

@@ -32,8 +32,11 @@ use zonal_geo::{FlatPolygons, PolygonLayer};
 use zonal_gpusim::{exec, KernelWork, WorkCounter};
 use zonal_raster::TileSource;
 
-/// Estimated decode arithmetic per cell (bitplane scatter + tree walk
-/// amortized): the constant the cost model prices Step 0 with.
+/// Device arithmetic per cell for Step 0 BQ-Tree decode (bitplane scatter
+/// and tree walk, amortized): the constant the cost model prices the
+/// simulated decode kernel with. It prices device work, not the host
+/// codec, and stays fixed when the host decoder gets faster, so sim
+/// seconds do not move with host-side speedups.
 pub const DECODE_FLOPS_PER_CELL: u64 = 32;
 
 /// Bounded-channel capacity for the decode→compute hand-off, derived
