@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use zonal_histo::geo::{
-    classify_box, point_in_ring, FlatPolygons, Mbr, Point, Polygon, Ring, TileRelation,
+    classify_box, point_in_ring, CountyConfig, FlatPolygons, Mbr, Point, Polygon, Ring,
+    TileRelation,
 };
 
 /// Star-shaped polygon from random radii: always simple (non-self-
@@ -218,4 +219,62 @@ proptest! {
         let owners = usize::from(left.contains(p)) + usize::from(right.contains(p));
         prop_assert_eq!(owners, 1, "point {:?} split {}", p, split);
     }
+}
+
+fn fnv1a_words(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(h, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    })
+}
+
+/// `(polygons, vertices, layer digest, flat-layout digest)`. The layer
+/// digest covers each polygon's name, ring count, ring lengths and every
+/// vertex's coordinate bits; the flat digest covers `ply_v`, `x_v` and `y_v`.
+fn county_layer_digest(seed: u64) -> (usize, usize, u64, u64) {
+    let layer = CountyConfig::us_like(seed).generate();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (name, poly) in layer.iter() {
+        h = fnv1a_words(h, name.bytes().map(u64::from));
+        h = fnv1a_words(h, [poly.rings().len() as u64]);
+        for ring in poly.rings() {
+            h = fnv1a_words(h, [ring.len() as u64]);
+            h = fnv1a_words(
+                h,
+                ring.points()
+                    .iter()
+                    .flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
+            );
+        }
+    }
+    let flat = layer.to_flat();
+    let mut f = fnv1a_words(0xcbf2_9ce4_8422_2325, flat.ply_v.iter().map(|&v| v as u64));
+    f = fnv1a_words(f, flat.x_v.iter().map(|x| x.to_bits()));
+    f = fnv1a_words(f, flat.y_v.iter().map(|y| y.to_bits()));
+    (layer.len(), layer.total_vertices(), h, f)
+}
+
+/// The county layer is every workload's zone input: pin its geometry, ring
+/// structure, names and flat layout bit for bit.
+#[test]
+fn county_layer_golden() {
+    assert_eq!(
+        county_layer_digest(1),
+        (
+            3100,
+            87752,
+            3_102_909_090_440_313_365,
+            16_038_129_197_295_580_238
+        )
+    );
+    assert_eq!(
+        county_layer_digest(20140519),
+        (
+            3100,
+            87880,
+            5_541_606_525_861_505_032,
+            8_649_334_151_361_223_142
+        )
+    );
 }
