@@ -174,27 +174,62 @@ struct Tessellator<'a> {
     dx: f64,
     dy: f64,
     jitter: f64,
+    /// Jittered grid corners, `(nx + 1) × (ny + 1)`, row-major in `j`.
+    corners: Vec<Point>,
+    /// Interior points of horizontal edge `(i, j)`, `edge_subdiv` per edge
+    /// in canonical order, for `nx × (ny + 1)` edges, row-major in `j`.
+    h_edges: Vec<Point>,
+    /// Interior points of vertical edge `(i, j)`, as `h_edges`, for
+    /// `(nx + 1) × ny` edges.
+    v_edges: Vec<Point>,
 }
 
 impl<'a> Tessellator<'a> {
+    /// Compute every corner and every shared edge once; cells then read
+    /// both sides of an edge from the same table entry.
     fn new(cfg: &'a CountyConfig) -> Self {
         assert!(
             cfg.nx >= 1 && cfg.ny >= 1,
             "tessellation needs at least one cell"
         );
         assert!(!cfg.extent.is_empty(), "extent must be non-empty");
-        Tessellator {
+        let (nx, ny, s) = (cfg.nx, cfg.ny, cfg.edge_subdiv);
+        let mut t = Tessellator {
             cfg,
-            dx: cfg.extent.width() / cfg.nx as f64,
-            dy: cfg.extent.height() / cfg.ny as f64,
+            dx: cfg.extent.width() / nx as f64,
+            dy: cfg.extent.height() / ny as f64,
             jitter: cfg.jitter.clamp(0.0, 0.25),
+            corners: Vec::new(),
+            h_edges: Vec::new(),
+            v_edges: Vec::new(),
+        };
+        t.corners = (0..=ny)
+            .flat_map(|j| (0..=nx).map(move |i| (i, j)))
+            .map(|(i, j)| t.jittered_corner(i, j))
+            .collect();
+        let mut h_edges = Vec::with_capacity(nx * (ny + 1) * s);
+        for j in 0..=ny {
+            for i in 0..nx {
+                let (a, b) = (t.corner(i, j), t.corner(i + 1, j));
+                h_edges.extend(t.edge_points(TAG_EDGE_H, i, j, a, b, j == 0 || j == ny));
+            }
         }
+        let mut v_edges = Vec::with_capacity((nx + 1) * ny * s);
+        for j in 0..ny {
+            for i in 0..=nx {
+                let (a, b) = (t.corner(i, j), t.corner(i, j + 1));
+                v_edges.extend(t.edge_points(TAG_EDGE_V, i, j, a, b, i == 0 || i == nx));
+            }
+        }
+        t.h_edges = h_edges;
+        t.v_edges = v_edges;
+        t
     }
 
     /// Jittered grid corner (i, j); extent-boundary corners are pinned in
     /// the boundary-normal direction so the tessellation fills the extent
     /// exactly.
-    fn corner(&self, i: usize, j: usize) -> Point {
+    fn jittered_corner(&self, i: usize, j: usize) -> Point {
         let c = self.cfg;
         let base_x = c.extent.min_x + i as f64 * self.dx;
         let base_y = c.extent.min_y + j as f64 * self.dy;
@@ -211,6 +246,10 @@ impl<'a> Tessellator<'a> {
         Point::new(base_x + jx, base_y + jy)
     }
 
+    fn corner(&self, i: usize, j: usize) -> Point {
+        self.corners[j * (self.cfg.nx + 1) + i]
+    }
+
     /// Interior vertices of a shared edge, in canonical direction
     /// (`a` → `b`). The perpendicular wiggle amplitude is bounded well below
     /// the sub-segment length, which keeps cells simple (non-self-
@@ -223,16 +262,10 @@ impl<'a> Tessellator<'a> {
         a: Point,
         b: Point,
         boundary: bool,
-    ) -> Vec<Point> {
+    ) -> impl Iterator<Item = Point> + '_ {
         let s = self.cfg.edge_subdiv;
-        if s == 0 {
-            return Vec::new();
-        }
         let d = b - a;
         let len = a.dist(b);
-        if len == 0.0 {
-            return vec![a; s];
-        }
         // Perpendicular unit vector (rotate left).
         let perp = Point::new(-d.y / len, d.x / len);
         let amp = if boundary {
@@ -240,29 +273,28 @@ impl<'a> Tessellator<'a> {
         } else {
             0.35 * len / (s as f64 + 1.0)
         };
-        (1..=s)
-            .map(|t| {
-                let h = hash3(self.cfg.seed, tag, (ei as u64) << 32 | ej as u64, t as u64);
-                let along = t as f64 / (s as f64 + 1.0);
-                a.lerp(b, along) + perp * (sym(h) * amp)
-            })
-            .collect()
+        (1..=s).map(move |t| {
+            if len == 0.0 {
+                return a;
+            }
+            let h = hash3(self.cfg.seed, tag, (ei as u64) << 32 | ej as u64, t as u64);
+            let along = t as f64 / (s as f64 + 1.0);
+            a.lerp(b, along) + perp * (sym(h) * amp)
+        })
     }
 
     /// Horizontal edge from corner (i, j) to corner (i+1, j).
-    fn h_edge(&self, i: usize, j: usize) -> Vec<Point> {
-        let a = self.corner(i, j);
-        let b = self.corner(i + 1, j);
-        let boundary = j == 0 || j == self.cfg.ny;
-        self.edge_points(TAG_EDGE_H, i, j, a, b, boundary)
+    fn h_edge(&self, i: usize, j: usize) -> &[Point] {
+        let s = self.cfg.edge_subdiv;
+        let k = (j * self.cfg.nx + i) * s;
+        &self.h_edges[k..k + s]
     }
 
     /// Vertical edge from corner (i, j) to corner (i, j+1).
-    fn v_edge(&self, i: usize, j: usize) -> Vec<Point> {
-        let a = self.corner(i, j);
-        let b = self.corner(i, j + 1);
-        let boundary = i == 0 || i == self.cfg.nx;
-        self.edge_points(TAG_EDGE_V, i, j, a, b, boundary)
+    fn v_edge(&self, i: usize, j: usize) -> &[Point] {
+        let s = self.cfg.edge_subdiv;
+        let k = (j * (self.cfg.nx + 1) + i) * s;
+        &self.v_edges[k..k + s]
     }
 
     /// Outer ring of cell (ci, cj), counter-clockwise.
@@ -270,22 +302,18 @@ impl<'a> Tessellator<'a> {
         let mut pts = Vec::with_capacity(4 * (1 + self.cfg.edge_subdiv));
         // Bottom: corner(ci,cj) .. corner(ci+1,cj), canonical order.
         pts.push(self.corner(ci, cj));
-        pts.extend(self.h_edge(ci, cj));
+        pts.extend_from_slice(self.h_edge(ci, cj));
         // Right: corner(ci+1,cj) .. corner(ci+1,cj+1), canonical order.
         pts.push(self.corner(ci + 1, cj));
-        pts.extend(self.v_edge(ci + 1, cj));
+        pts.extend_from_slice(self.v_edge(ci + 1, cj));
         // Top: corner(ci+1,cj+1) .. corner(ci,cj+1): canonical is left→right,
         // so traverse the shared list reversed.
         pts.push(self.corner(ci + 1, cj + 1));
-        let mut top = self.h_edge(ci, cj + 1);
-        top.reverse();
-        pts.extend(top);
+        pts.extend(self.h_edge(ci, cj + 1).iter().rev());
         // Left: corner(ci,cj+1) .. corner(ci,cj): canonical is bottom→top,
         // reversed here.
         pts.push(self.corner(ci, cj + 1));
-        let mut left = self.v_edge(ci, cj);
-        left.reverse();
-        pts.extend(left);
+        pts.extend(self.v_edge(ci, cj).iter().rev());
         Ring::new(pts)
     }
 

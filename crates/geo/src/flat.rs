@@ -63,9 +63,22 @@ pub struct FlatPolygons {
 impl FlatPolygons {
     /// Flatten object-style polygons into the device layout.
     pub fn from_polygons(polys: &[Polygon]) -> Self {
+        // Each ring takes its vertices plus a closing vertex; rings after
+        // the first are preceded by a sentinel.
+        let slots = polys
+            .iter()
+            .map(|poly| {
+                let rings = poly.rings();
+                let closed: usize = rings
+                    .iter()
+                    .map(|r| r.len() + usize::from(!r.is_empty()))
+                    .sum();
+                closed + rings.len().saturating_sub(1)
+            })
+            .sum();
         let mut ply_v = Vec::with_capacity(polys.len());
-        let mut x_v = Vec::new();
-        let mut y_v = Vec::new();
+        let mut x_v = Vec::with_capacity(slots);
+        let mut y_v = Vec::with_capacity(slots);
         let mut mbrs = Vec::with_capacity(polys.len());
         for poly in polys {
             for (ri, ring) in poly.rings().iter().enumerate() {
@@ -92,6 +105,7 @@ impl FlatPolygons {
             ply_v.push(x_v.len() as u32);
             mbrs.push(poly.mbr());
         }
+        debug_assert_eq!(x_v.len(), slots);
         FlatPolygons {
             ply_v,
             x_v,
