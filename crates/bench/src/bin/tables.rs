@@ -57,6 +57,10 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     ("ablate-tile", "tile-size sweep (§III.A tradeoff)"),
     (
+        "ablate-bins",
+        "histogram bin-count sweep through Step 1 (§III.A)",
+    ),
+    (
         "schedule",
         "partition scheduling policies (§IV.C future work)",
     ),
@@ -475,6 +479,34 @@ fn ablate_tile(zones: &Zones, cpd: u32, seed: u64) {
     }
     println!(
         "\nsmaller tiles: more per-tile histogram memory, fewer PIP-tested cells; and vice versa."
+    );
+}
+
+fn ablate_bins(zones: &Zones, cpd: u32, seed: u64) {
+    println!("\n== §III.A ablation: histogram bin count ==\n");
+    println!(
+        "{:>7} {:>14} {:>12} {:>12} {:>12}",
+        "bins", "S1 bytes", "S1 atomics", "S1 sim s", "GTX sim s"
+    );
+    hline(61);
+    let part = partition_of(cpd, "west-south", 0);
+    let src = SyntheticSrtm::new(part.grid(0.1), seed);
+    for n_bins in [256, 1024, 5000, 16384] {
+        let cfg = paper_cfg(DeviceSpec::gtx_titan()).with_bins(n_bins);
+        let r = zonal_core::run_partition(&cfg, zones, &src);
+        let s1 = &r.timings.steps[1];
+        let work = s1.cell_work.merge(&s1.fixed_work);
+        println!(
+            "{:>7} {:>14} {:>12} {:>12.3} {:>12.3}",
+            n_bins,
+            work.coalesced_bytes,
+            work.atomics,
+            r.timings.step_sim_secs_at_scale(cell_factor(cpd))[1],
+            r.timings.steps_total_sim_secs_at_scale(cell_factor(cpd))
+        );
+    }
+    println!(
+        "\nevery bin is zeroed and written back per tile; at full scale per-cell work still dominates."
     );
 }
 
@@ -956,6 +988,7 @@ fn main() {
                 | "imbalance"
                 | "baseline"
                 | "ablate-tile"
+                | "ablate-bins"
                 | "schedule"
                 | "occupancy"
                 | "simplify"
@@ -1009,6 +1042,13 @@ fn main() {
     }
     if run_all || exp == "ablate-tile" {
         ablate_tile(
+            zones.as_ref().expect("zones"),
+            args.cpd.unwrap_or(60),
+            args.seed,
+        );
+    }
+    if run_all || exp == "ablate-bins" {
+        ablate_bins(
             zones.as_ref().expect("zones"),
             args.cpd.unwrap_or(60),
             args.seed,

@@ -1,4 +1,4 @@
-//! Shared experiment harness for the benches and the `tables` binary.
+//! Shared experiment harness for the `tables` binary.
 //!
 //! Every experiment is parameterized by a linear **scale** — the raster's
 //! `cells_per_degree` (the paper's SRTM data is 3600). The polygon layer,
@@ -22,8 +22,8 @@ pub fn us_zones() -> Zones {
     Zones::new(zonal_geo::CountyConfig::us_like(SEED).generate())
 }
 
-/// A reduced zone layer for sub-second benches: same structure, fewer and
-/// simpler zones.
+/// A reduced zone layer for sub-second experiments and tests: same
+/// structure, fewer and simpler zones.
 pub fn small_zones(nx: usize, ny: usize, subdiv: usize) -> Zones {
     let mut cfg = zonal_geo::CountyConfig::us_like(SEED);
     cfg.nx = nx;
@@ -112,13 +112,6 @@ pub fn run_full_compressed(
             n_tiles,
         },
     )
-}
-
-/// A single modest partition + source for micro-benches (the north strip:
-/// smallest of the catalog).
-pub fn one_partition_source(cells_per_degree: u32, tile_deg: f64) -> SyntheticSrtm {
-    let p = partitions(cells_per_degree)[0];
-    SyntheticSrtm::new(p.grid(tile_deg), SEED)
 }
 
 /// BQ-Tree compression ratio measured on a sample of tiles at the paper's

@@ -50,6 +50,7 @@ fn list_prints_every_experiment() {
         "imbalance",
         "baseline",
         "ablate-tile",
+        "ablate-bins",
         "schedule",
         "occupancy",
         "simplify",

@@ -209,6 +209,9 @@ mod tests {
             dyn_.makespan,
             rr.makespan
         );
+        let oracle = simulate(Policy::OracleLpt, &costs, &cells, 8, 0.0);
+        assert!(oracle.makespan >= costs.iter().sum::<f64>() / 8.0 - 1e-9);
+        assert!(oracle.makespan <= dyn_.makespan + 1e-9);
     }
 
     #[test]

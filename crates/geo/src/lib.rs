@@ -22,7 +22,6 @@
 //! geographic (lon/lat) setting; nothing here assumes a projection.
 
 pub mod classify;
-pub mod clip;
 pub mod counties;
 pub mod dataset;
 pub mod flat;
@@ -30,7 +29,6 @@ pub mod mbr;
 pub mod pip;
 pub mod point;
 pub mod polygon;
-pub mod quadtree;
 pub mod ring;
 pub mod segment;
 pub mod simplify;
@@ -44,6 +42,5 @@ pub use mbr::Mbr;
 pub use pip::{point_in_polygon, point_in_ring};
 pub use point::Point;
 pub use polygon::Polygon;
-pub use quadtree::MbrQuadtree;
 pub use ring::Ring;
 pub use simplify::{simplify_polygon, simplify_ring};

@@ -10,9 +10,9 @@
 //!    `blockDim` stride and synchronize at barriers) and run *for real* on
 //!    the CPU, preserving the algorithm and its memory-access structure
 //!    (a launch runs its blocks sequentially on the calling thread: the
-//!    workspace's `rayon` is a sequential shim). [`block::SimtBlock`] is a faithful barrier-accurate
-//!    emulator used by tests; [`exec::launch`] is the fast path used by
-//!    benches.
+//!    workspace's `rayon` is a sequential shim). [`block::SimtBlock`] is a
+//!    faithful barrier-accurate emulator used by tests; [`exec::launch`] is
+//!    the fast path used by the pipeline.
 //! 2. **Cost model** ([`device`], [`cost`]) — kernels count their work
 //!    (bytes streamed, scattered accesses, arithmetic, atomics) in a
 //!    [`cost::WorkCounter`]; [`cost::CostModel`] converts those counts into

@@ -3,11 +3,9 @@
 //! Step 3's post-processing is expressed in the paper (Fig. 4) as a
 //! composition of `stable_sort_by_key`, `stable_partition`, `reduce_by_key`
 //! and `scan` from the Thrust library. This module provides the same
-//! vocabulary: a sequential reference implementation of each primitive and,
-//! where the pipeline needs throughput, a parallel implementation with the
-//! identical contract. Property tests (the workspace-level
-//! `tests/proptest_primitives.rs`) pin the parallel versions to the
-//! sequential ones; the barrier-placement discipline of the block-level
+//! vocabulary, one implementation per primitive. Property tests (the
+//! workspace-level `tests/proptest_primitives.rs`) pin each primitive to
+//! a naive model; the barrier-placement discipline of the block-level
 //! scan these primitives mirror is machine-checked by the kernel
 //! sanitizer (`tests/simt_scan.rs` with `--features sanitize`).
 
@@ -38,30 +36,6 @@ pub fn inclusive_scan(v: &[u32]) -> Vec<u32> {
         out.push(acc);
     }
     out
-}
-
-/// Parallel exclusive scan (two-pass blocked algorithm: per-chunk sums,
-/// scan of chunk sums, then per-chunk local scans offset by the carry —
-/// the textbook GPU scan structure).
-pub fn exclusive_scan_par(v: &[u32]) -> (Vec<u32>, u32) {
-    const CHUNK: usize = 16 * 1024;
-    if v.len() <= CHUNK {
-        return exclusive_scan(v);
-    }
-    let chunk_sums: Vec<u32> = v.par_chunks(CHUNK).map(|c| c.iter().sum()).collect();
-    let (chunk_offsets, total) = exclusive_scan(&chunk_sums);
-    let mut out = vec![0u32; v.len()];
-    out.par_chunks_mut(CHUNK)
-        .zip(v.par_chunks(CHUNK))
-        .zip(chunk_offsets.par_iter())
-        .for_each(|((out_c, in_c), &off)| {
-            let mut acc = off;
-            for (o, &x) in out_c.iter_mut().zip(in_c) {
-                *o = acc;
-                acc += x;
-            }
-        });
-    (out, total)
 }
 
 // ---------------------------------------------------------------------------
@@ -184,18 +158,6 @@ mod tests {
         let (ex, total) = exclusive_scan(&[]);
         assert!(ex.is_empty());
         assert_eq!(total, 0);
-        let (exp, totalp) = exclusive_scan_par(&[]);
-        assert!(exp.is_empty());
-        assert_eq!(totalp, 0);
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential_on_large_input() {
-        let v: Vec<u32> = (0..200_000u32).map(|i| i % 7).collect();
-        let (seq, seq_total) = exclusive_scan(&v);
-        let (par, par_total) = exclusive_scan_par(&v);
-        assert_eq!(seq_total, par_total);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! * [`srtm`] — a deterministic synthetic SRTM-like DEM (fractional Brownian
 //!   motion terrain with an ocean mask) plus the Table 1 raster catalog and
 //!   its 36-partition schema;
-//! * [`morton`] — Morton (Z-order) cell layouts, the paper's future-work
-//!   item, used by the layout ablation;
 //! * [`partition`] — splitting catalog rasters into the sub-rasters that the
 //!   cluster experiment distributes over nodes.
 //!
@@ -22,12 +20,10 @@
 
 pub mod geotransform;
 pub mod io;
-pub mod morton;
 pub mod partition;
 pub mod raster;
 pub mod srtm;
 pub mod tile;
-pub mod timeseries;
 
 pub use geotransform::GeoTransform;
 pub use raster::Raster;

@@ -20,8 +20,8 @@
 //!
 //! The crate also provides reference implementations ([`baseline`]) used
 //! both as correctness oracles and as the comparison points of the
-//! ablation benches, and classic zonal statistics ([`stats`]) derived from
-//! the histograms.
+//! `tables baseline` experiment, and classic zonal statistics ([`stats`])
+//! derived from the histograms.
 //!
 //! The pipeline streams tiles in row strips, so memory stays bounded by
 //! the strip's cells plus one `n_bins` row per zone the partition touches,
@@ -30,9 +30,7 @@
 
 pub mod baseline;
 pub mod config;
-pub mod distance;
 pub mod hist;
-pub mod multiband;
 pub mod pairing;
 pub mod pipeline;
 pub mod representative;
@@ -41,19 +39,12 @@ pub mod stats;
 pub mod step1;
 pub mod step3;
 pub mod step4;
-pub mod temporal;
 pub mod timing;
-pub mod weighted;
-pub mod zone_cluster;
 
 pub use config::PipelineConfig;
 pub use hist::{ZoneHistograms, ZoneRows};
-pub use multiband::{run_bands, MultiBandResult};
-pub use pairing::{pair_tiles, pair_tiles_quadtree, GroupedPairs, PairTable};
+pub use pairing::{pair_tiles, GroupedPairs, PairTable};
 pub use pipeline::{run_partition, run_partitions, ZonalResult};
 pub use representative::CellRepresentative;
 pub use stats::{zonal_statistics, ZonalStats};
-pub use temporal::{detect_anomalies, run_epochs, TemporalResult};
 pub use timing::{PipelineCounts, PipelineTimings, StepTiming};
-pub use weighted::{run_weighted, WeightedZoneHistograms};
-pub use zone_cluster::{kmedoids, ZoneClustering};

@@ -14,7 +14,7 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use zonal_geo::{classify_box, classify_box_in_band, BandEdges, PolygonLayer, TileRelation};
+use zonal_geo::{classify_box_in_band, BandEdges, PolygonLayer, TileRelation};
 use zonal_gpusim::primitives::{
     exclusive_scan, run_length_encode, stable_partition, stable_sort_by_key,
 };
@@ -102,42 +102,6 @@ impl PairTable {
     }
 }
 
-/// Run Step 2 with a quadtree polygon index instead of grid-file MBB
-/// rasterization: for each tile (in parallel), query the candidate polygons
-/// from an MX-CIF quadtree over polygon MBRs, then classify exactly.
-///
-/// Produces the identical [`PairTable`] as [`pair_tiles`] — only the
-/// filtering strategy differs (tile→polygons lookup instead of
-/// polygon→tiles rasterization). The grid-file direction is usually faster
-/// here because the tile grid already exists; the quadtree wins when tiles
-/// greatly outnumber polygon-MBB overlaps. Compared by
-/// `benches/ablate_pairing.rs`.
-pub fn pair_tiles_quadtree(layer: &PolygonLayer, grid: &TileGrid) -> PairTable {
-    let mbrs: Vec<zonal_geo::Mbr> = layer.polygons().iter().map(|p| p.mbr()).collect();
-    let extent = grid
-        .transform()
-        .extent(grid.raster_rows(), grid.raster_cols());
-    let index = zonal_geo::MbrQuadtree::build(extent, &mbrs, 8);
-
-    let per_tile: Vec<Vec<(u32, u32, u8)>> = (0..grid.n_tiles())
-        .into_par_iter()
-        .map(|tid| {
-            let (tx, ty) = grid.tile_pos(tid);
-            let tile_box = grid.tile_mbr(tx, ty);
-            index
-                .query(&tile_box)
-                .into_iter()
-                .map(|pid| {
-                    let rel = classify_box(layer.polygon(pid as usize), &tile_box);
-                    (pid, tid as u32, rel.code())
-                })
-                .collect()
-        })
-        .collect();
-    let triples: Vec<(u32, u32, u8)> = per_tile.into_iter().flatten().collect();
-    group_triples(triples)
-}
-
 /// Run Step 2 for `layer` against `grid`.
 pub fn pair_tiles(layer: &PolygonLayer, grid: &TileGrid) -> PairTable {
     // Phase 1 (parallel over polygons): rasterize each MBB onto the tile
@@ -170,11 +134,11 @@ pub fn pair_tiles(layer: &PolygonLayer, grid: &TileGrid) -> PairTable {
     group_triples(triples)
 }
 
-/// The Fig. 4 primitive chain shared by both filtering strategies: sort by
-/// (polygon, relation) so each polygon's tiles are adjacent and
-/// inside-tiles precede intersect-tiles, drop outsides, split the two
-/// classes with a stable partition (which preserves the polygon grouping),
-/// then run-length encode and scan into the grouped arrays.
+/// The Fig. 4 primitive chain: sort by (polygon, relation) so each
+/// polygon's tiles are adjacent and inside-tiles precede intersect-tiles,
+/// drop outsides, split the two classes with a stable partition (which
+/// preserves the polygon grouping), then run-length encode and scan into
+/// the grouped arrays.
 fn group_triples(mut triples: Vec<(u32, u32, u8)>) -> PairTable {
     let n_total = triples.len() as u64;
     triples.retain(|&(_, _, code)| code != TileRelation::Outside.code());
@@ -197,7 +161,7 @@ fn group_triples(mut triples: Vec<(u32, u32, u8)>) -> PairTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zonal_geo::Polygon;
+    use zonal_geo::{classify_box, Polygon};
     use zonal_raster::GeoTransform;
 
     /// 10×10 world units, tiles of 1×1 (10 cells each of size 0.1).
@@ -290,65 +254,50 @@ mod tests {
         assert_eq!(table.intersect.n_groups(), 0);
     }
 
+    /// Brute-force oracle: every (polygon, tile) pair of the grid lands in
+    /// `inside` or `intersect` exactly when `classify_box` says so, once.
+    fn assert_pairs_match_direct_classify(layer: &PolygonLayer, g: &TileGrid) {
+        let table = pair_tiles(layer, g);
+        let mut emitted = std::collections::HashMap::new();
+        for (rel, pairs) in [
+            (TileRelation::Inside, &table.inside),
+            (TileRelation::Intersect, &table.intersect),
+        ] {
+            for (pid, tid) in pairs.iter_pairs() {
+                assert!(emitted.insert((pid, tid), rel).is_none(), "duplicate pair");
+            }
+        }
+        for (pid, poly) in layer.polygons().iter().enumerate() {
+            for tid in 0..g.n_tiles() {
+                let (tx, ty) = g.tile_pos(tid);
+                let want = classify_box(poly, &g.tile_mbr(tx, ty));
+                let got = emitted
+                    .get(&(pid as u32, tid as u32))
+                    .copied()
+                    .unwrap_or(TileRelation::Outside);
+                assert_eq!(got, want, "polygon {pid}, tile ({tx}, {ty})");
+            }
+        }
+    }
+
     #[test]
     fn classification_agrees_with_direct_classify() {
-        let layer = PolygonLayer::from_polygons(vec![Polygon::from_ring(zonal_geo::Ring::circle(
+        let circle = Polygon::from_ring(zonal_geo::Ring::circle(
             zonal_geo::Point::new(4.3, 5.7),
             2.2,
             48,
-        ))]);
+        ));
         let g = grid();
-        let table = pair_tiles(&layer, &g);
-        let poly = layer.polygon(0);
-        for (pid, tid) in table.inside.iter_pairs() {
-            assert_eq!(pid, 0);
-            let (tx, ty) = g.tile_pos(tid as usize);
-            assert_eq!(
-                classify_box(poly, &g.tile_mbr(tx, ty)),
-                TileRelation::Inside
-            );
-        }
-        for (_, tid) in table.intersect.iter_pairs() {
-            let (tx, ty) = g.tile_pos(tid as usize);
-            assert_eq!(
-                classify_box(poly, &g.tile_mbr(tx, ty)),
-                TileRelation::Intersect
-            );
-        }
-    }
-
-    #[test]
-    fn quadtree_pairing_identical_to_gridfile() {
-        // Both filtering strategies must produce the same PairTable on a
-        // realistic tessellation (the grouped arrays are canonicalized by
-        // the shared Fig. 4 chain).
-        let layer = zonal_geo::CountyConfig::small(7).generate();
-        let g = TileGrid::new(60, 80, 5, GeoTransform::new(0.0, 0.0, 0.1, 0.1));
-        let grid_file = pair_tiles(&layer, &g);
-        let quadtree = pair_tiles_quadtree(&layer, &g);
-        assert_eq!(grid_file.inside, quadtree.inside);
-        assert_eq!(grid_file.intersect, quadtree.intersect);
-        // n_outside may differ: the quadtree only surfaces candidates whose
-        // MBRs intersect the *tile*, the grid-file enumerates whole MBB
-        // ranges — but both agree on every surviving pair.
-    }
-
-    #[test]
-    fn quadtree_pairing_on_offset_polygons() {
-        let layer = PolygonLayer::from_polygons(vec![
-            Polygon::from_ring(zonal_geo::Ring::circle(
-                zonal_geo::Point::new(4.3, 5.7),
-                2.2,
-                48,
-            )),
+        assert_pairs_match_direct_classify(&PolygonLayer::from_polygons(vec![circle.clone()]), &g);
+        let offset = PolygonLayer::from_polygons(vec![
+            circle,
             Polygon::rect(0.5, 0.5, 3.5, 3.5),
             Polygon::rect(50.0, 50.0, 60.0, 60.0), // off-grid
         ]);
-        let g = grid();
-        let a = pair_tiles(&layer, &g);
-        let b = pair_tiles_quadtree(&layer, &g);
-        assert_eq!(a.inside, b.inside);
-        assert_eq!(a.intersect, b.intersect);
+        assert_pairs_match_direct_classify(&offset, &g);
+        let counties = zonal_geo::CountyConfig::small(7).generate();
+        let g = TileGrid::new(60, 80, 5, GeoTransform::new(0.0, 0.0, 0.1, 0.1));
+        assert_pairs_match_direct_classify(&counties, &g);
     }
 
     #[test]

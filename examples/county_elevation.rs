@@ -71,21 +71,26 @@ fn main() {
         .max_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
         .expect("some county has cells");
     println!(
-        "\nhighest county: {} (mean {:.0} m, max {:?} m, {} cells)",
+        "\nhighest county: {} (mean {:.0} m, max {} m, {} cells)",
         zones.layer.name(highest.0),
         highest.1.mean,
-        highest.1.max,
+        highest.1.max.expect("a county with cells has a max"),
         highest.1.count
     );
 
+    // Only counties with at least the median non-empty cell count qualify,
+    // so a few-cell sliver cannot win at any resolution.
+    let mut counts: Vec<u64> = stats.iter().map(|s| s.count).filter(|&c| c > 0).collect();
+    counts.sort_unstable();
+    let min_cells = counts[counts.len() / 2];
     let flattest = stats
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.count > 1000)
+        .filter(|(_, s)| s.count >= min_cells)
         .min_by(|a, b| a.1.std_dev.total_cmp(&b.1.std_dev))
-        .expect("some county has cells");
+        .expect("the median county qualifies");
     println!(
-        "flattest county: {} (σ {:.1} m over {} cells)",
+        "flattest county: {} (σ {:.1} m over {} cells; counties of ≥ {min_cells} cells)",
         zones.layer.name(flattest.0),
         flattest.1.std_dev,
         flattest.1.count

@@ -7,10 +7,7 @@
 //! See `shims/README.md`.
 
 pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
 pub mod iter {
@@ -47,45 +44,12 @@ pub mod iter {
         }
     }
 
-    /// `par_iter_mut()` for any collection iterable by unique reference.
-    pub trait IntoParallelRefMutIterator<'data> {
-        type Item: 'data;
-        type Iter: Iterator<Item = Self::Item>;
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-    where
-        &'data mut C: IntoIterator,
-    {
-        type Item = <&'data mut C as IntoIterator>::Item;
-        type Iter = <&'data mut C as IntoIterator>::IntoIter;
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    /// Slice chunking, shared.
-    pub trait ParallelSlice<T> {
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-            self.chunks(chunk_size)
-        }
-    }
-
-    /// Slice chunking and sorting, unique.
+    /// Slice sorting, unique.
     pub trait ParallelSliceMut<T> {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
         fn par_sort_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F);
     }
 
     impl<T> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(chunk_size)
-        }
         fn par_sort_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, f: F) {
             self.sort_by_key(f)
         }
@@ -106,7 +70,5 @@ mod tests {
         let mut w = [4u32, 3, 9, 1];
         w.par_sort_by_key(|&x| x);
         assert_eq!(w, [1, 3, 4, 9]);
-        let chunks: Vec<Vec<u32>> = w.par_chunks(2).map(|c| c.to_vec()).collect();
-        assert_eq!(chunks, vec![vec![1, 3], vec![4, 9]]);
     }
 }
