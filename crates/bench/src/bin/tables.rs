@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 use zonal_bench::{
-    cell_factor, paper_cfg, partition_of, partitions, run_full_compressed, us_zones, SEED,
+    cell_factor, encoded_partitions, paper_cfg, partition_of, partitions, us_zones, SEED,
 };
 use zonal_cluster::{run_scaling, ClusterConfig};
 use zonal_core::baseline;
@@ -187,7 +187,7 @@ fn table2(zones: &Zones, cpd: u32, json: Option<&str>) -> zonal_core::PipelineTi
     );
     let cfg = paper_cfg(DeviceSpec::gtx_titan());
     let t = Instant::now();
-    let (result, stats) = run_full_compressed(&cfg, zones, cpd);
+    let result = zonal_core::run_partitions(&cfg, zones, &encoded_partitions(cfg.tile_deg, cpd));
     let wall = t.elapsed().as_secs_f64();
     let f = cell_factor(cpd);
     let quadro = result.timings.with_device(DeviceSpec::quadro_6000());
@@ -319,11 +319,10 @@ fn table2(zones: &Zones, cpd: u32, json: Option<&str>) -> zonal_core::PipelineTi
         avoided,
         100.0 * avoided as f64 / result.counts.n_cells as f64
     );
+    let (raw, encoded) = (result.counts.raw_bytes, result.counts.encoded_bytes);
     println!(
-        "compression: {:.1}% of raw ({} -> {} bytes)",
-        100.0 * stats.ratio(),
-        stats.raw_bytes,
-        stats.encoded_bytes
+        "compression: {:.1}% of raw ({raw} -> {encoded} bytes)",
+        100.0 * encoded as f64 / raw as f64
     );
     result.timings
 }
@@ -427,10 +426,10 @@ fn baseline_cmp(zones: &Zones, cpd: u32, seed: u64) {
     let pipe = zonal_core::run_partition(&cfg, zones, &src);
     let t_pipe = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let pip = baseline::full_pip_parallel(&zones.layer, &raster, cfg.n_bins);
+    let pip = baseline::full_pip(&zones.layer, &raster, cfg.n_bins);
     let t_pip = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let scan = baseline::scanline_parallel(&zones.layer, &raster, cfg.n_bins);
+    let scan = baseline::scanline(&zones.layer, &raster, cfg.n_bins);
     let t_scan = t.elapsed().as_secs_f64();
     assert_eq!(pipe.hists, pip, "pipeline must agree with the PIP oracle");
     assert_eq!(
@@ -712,7 +711,7 @@ fn sanitizer_overhead(zones: &Zones, cpd: u32) {
     // default-features build of this same experiment for the total cost.
     let cfg = paper_cfg(DeviceSpec::gtx_titan());
     let t = Instant::now();
-    let (result, _stats) = run_full_compressed(&cfg, zones, cpd);
+    let result = zonal_core::run_partitions(&cfg, zones, &encoded_partitions(cfg.tile_deg, cpd));
     println!(
         "\npipeline wall with tracked device buffers: {:.2}s ({} cells, {} zones)",
         t.elapsed().as_secs_f64(),

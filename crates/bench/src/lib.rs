@@ -8,8 +8,9 @@
 //! scaling the counted per-cell work back up (see
 //! `zonal_core::timing::StepTiming`).
 
-use zonal_core::pipeline::{run_partition, Zones};
-use zonal_core::{PipelineConfig, ZonalResult};
+use zonal_bqtree::{compress_source, BqRaster};
+use zonal_core::pipeline::Zones;
+use zonal_core::PipelineConfig;
 use zonal_gpusim::DeviceSpec;
 use zonal_raster::partition::Partition;
 use zonal_raster::srtm::{SrtmCatalog, SyntheticSrtm};
@@ -62,56 +63,14 @@ pub fn cell_factor(cells_per_degree: u32) -> f64 {
     f * f
 }
 
-/// Run the full pipeline (synthetic-DEM source, no compression) over every
-/// partition at `cells_per_degree`, merging results.
-pub fn run_full(cfg: &PipelineConfig, zones: &Zones, cells_per_degree: u32) -> ZonalResult {
-    let parts = partitions(cells_per_degree);
-    let mut merged: Option<ZonalResult> = None;
-    for p in &parts {
-        let src = SyntheticSrtm::new(p.grid(cfg.tile_deg), SEED);
-        let r = run_partition(cfg, zones, &src);
-        match &mut merged {
-            None => merged = Some(r),
-            Some(m) => m.merge(&r),
-        }
-    }
-    merged.expect("catalog has partitions")
-}
-
-/// Run the pipeline over every partition **through the BQ-Tree codec** so
-/// Step 0 is a real decode (the Table 2 configuration). Returns the merged
-/// result and the aggregate compression stats.
-pub fn run_full_compressed(
-    cfg: &PipelineConfig,
-    zones: &Zones,
-    cells_per_degree: u32,
-) -> (ZonalResult, zonal_bqtree::CompressionStats) {
-    let parts = partitions(cells_per_degree);
-    let mut merged: Option<ZonalResult> = None;
-    let mut raw = 0u64;
-    let mut enc = 0u64;
-    let mut n_tiles = 0u64;
-    for p in &parts {
-        let src = SyntheticSrtm::new(p.grid(cfg.tile_deg), SEED);
-        let bq = zonal_bqtree::compress_source(&src);
-        let s = bq.stats();
-        raw += s.raw_bytes;
-        enc += s.encoded_bytes;
-        n_tiles += s.n_tiles;
-        let r = run_partition(cfg, zones, &bq);
-        match &mut merged {
-            None => merged = Some(r),
-            Some(m) => m.merge(&r),
-        }
-    }
-    (
-        merged.expect("catalog has partitions"),
-        zonal_bqtree::CompressionStats {
-            raw_bytes: raw,
-            encoded_bytes: enc,
-            n_tiles,
-        },
-    )
+/// Every partition at `cells_per_degree` in `tile_deg` tiles, encoded
+/// through the BQ-Tree codec so Step 0 is a real decode (the Table 2
+/// configuration). Run them with [`zonal_core::run_partitions`].
+pub fn encoded_partitions(tile_deg: f64, cells_per_degree: u32) -> Vec<BqRaster> {
+    partitions(cells_per_degree)
+        .iter()
+        .map(|p| compress_source(&SyntheticSrtm::new(p.grid(tile_deg), SEED)))
+        .collect()
 }
 
 /// BQ-Tree compression ratio measured on a sample of tiles at the paper's
@@ -143,30 +102,6 @@ pub fn native_compression_ratio(seed: u64, n_samples: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn harness_runs_at_tiny_scale() {
-        let zones = small_zones(8, 5, 1);
-        let mut cfg = paper_cfg(DeviceSpec::gtx_titan());
-        cfg.tile_deg = 1.0;
-        cfg.n_bins = 64;
-        let r = run_full(&cfg, &zones, 4);
-        assert_eq!(r.counts.n_cells, SrtmCatalog::new(4).total_cells());
-        assert!(r.hists.total() > 0);
-    }
-
-    #[test]
-    fn compressed_run_matches_uncompressed() {
-        let zones = small_zones(8, 5, 1);
-        let mut cfg = paper_cfg(DeviceSpec::gtx_titan());
-        cfg.tile_deg = 1.0;
-        cfg.n_bins = 64;
-        let plain = run_full(&cfg, &zones, 4);
-        let (comp, stats) = run_full_compressed(&cfg, &zones, 4);
-        assert_eq!(plain.hists, comp.hists, "codec must not change the answer");
-        assert!(stats.ratio() < 1.0, "DEM data must compress");
-        assert_eq!(stats.raw_bytes, SrtmCatalog::new(4).total_cells() * 2);
-    }
 
     #[test]
     fn cell_factor_squares_linear_scale() {

@@ -2,7 +2,6 @@
 
 use crate::codec::{decode_tile, encode_tile};
 use bytes::Bytes;
-use rayon::prelude::*;
 use zonal_raster::{TileData, TileGrid, TileSource};
 
 /// Aggregate compression bookkeeping (the §IV.B claim: 40 GB → 7.3 GB,
@@ -102,13 +101,12 @@ impl TileSource for BqRaster {
     }
 }
 
-/// Compress every tile of `src` (in parallel — encoding is embarrassingly
+/// Compress every tile of `src` (tile by tile: encoding is embarrassingly
 /// tile-parallel, like the paper's GPU encoder).
 pub fn compress_source(src: &impl TileSource) -> BqRaster {
     let grid = src.grid().clone();
     let n = grid.n_tiles();
     let tiles: Vec<Bytes> = (0..n)
-        .into_par_iter()
         .map(|id| {
             let (tx, ty) = grid.tile_pos(id);
             encode_tile(&src.tile(tx, ty))

@@ -20,10 +20,10 @@
 //!    everything sequenced after any thread's corresponding departure, so
 //!    the zero-bins / sync / accumulate discipline of Fig. 2 is correct
 //!    with Relaxed stores.
-//! 2. **Thread join.** [`crate::exec::launch`] (rayon) and `SimtBlock`'s
-//!    scoped threads join before results are read; join is a full
-//!    happens-before edge, so `into_vec`/`to_vec` after a launch observe
-//!    every kernel write.
+//! 2. **Thread join.** `SimtBlock`'s scoped threads, and the host threads
+//!    that run [`crate::exec::launch`]es, join before results are read;
+//!    join is a full happens-before edge, so `into_vec`/`to_vec` after a
+//!    launch observe every kernel write.
 //! 3. **Independence.** Between barriers, concurrent `add`s to the same
 //!    counter are pure counting: each `fetch_add` is an atomic
 //!    read-modify-write, every modification is applied exactly once
@@ -126,18 +126,32 @@ atomic_buf!(AtomicBufU64, AtomicU64, u64);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn concurrent_adds_are_lossless() {
+        // Enough adds that a non-atomic read-modify-write loses some.
+        const THREADS: usize = 4;
+        const ADDS: usize = 400_000;
         let buf = AtomicBufU32::new(16);
-        (0..10_000usize).into_par_iter().for_each(|i| {
-            buf.add(i % 16, 1);
+        // The barrier releases every thread at once, so their adds overlap.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (buf, start) = (&buf, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Contiguous chunks: every thread hits every counter.
+                    let chunk = ADDS / THREADS;
+                    for i in t * chunk..(t + 1) * chunk {
+                        buf.add(i % 16, 1);
+                    }
+                });
+            }
         });
         let v = buf.into_vec();
-        assert_eq!(v.iter().map(|&x| x as usize).sum::<usize>(), 10_000);
+        assert_eq!(v.iter().map(|&x| x as usize).sum::<usize>(), ADDS);
         for &x in &v {
-            assert_eq!(x, 625);
+            assert_eq!(x as usize, ADDS / 16);
         }
     }
 

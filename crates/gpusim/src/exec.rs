@@ -2,14 +2,12 @@
 //!
 //! A CUDA kernel launch is a grid of *independent* thread blocks: blocks may
 //! not communicate except through global atomics, and the hardware schedules
-//! them in any order. That contract maps directly onto a parallel iterator
-//! over block indices, which is how these launches are written. The
-//! workspace's `rayon` is a sequential shim, so a launch runs its blocks
-//! in order on the calling thread; host concurrency comes from the callers
-//! (the decode/compute overlap, `run_partitions` workers, cluster node
-//! threads and the serve pool). Anything a
-//! kernel writes must therefore go through owned per-block results
-//! ([`launch_map`]) or atomic buffers ([`crate::atomic`], or their
+//! them in any order. A launch here runs its blocks in order on the calling
+//! thread; host concurrency comes from the callers (the decode/compute
+//! overlap, `run_partitions` workers, cluster node threads and the serve
+//! pool). Kernels are still written to the independent-block contract
+//! (`Fn + Sync`): anything a kernel writes must go through owned per-block
+//! results ([`launch_map`]) or atomic buffers ([`crate::atomic`], or their
 //! sanitizer-aware [`crate::tracked`] wrappers), the same discipline CUDA
 //! imposes.
 //!
@@ -22,27 +20,24 @@
 //! `sanitize` feature).
 
 use crate::cost::{KernelWork, WorkCounter};
-use rayon::prelude::*;
 
 /// Launch `n_blocks` independent blocks; `kernel(block_idx)` runs once per
-/// block, in any order, possibly concurrently.
-#[allow(clippy::redundant_closure)] // passing `kernel` directly would demand F: Send
+/// block. Kernels must not depend on the block order.
 pub fn launch<F>(n_blocks: usize, kernel: F)
 where
     F: Fn(usize) + Sync,
 {
-    (0..n_blocks).into_par_iter().for_each(|b| kernel(b));
+    (0..n_blocks).for_each(kernel);
 }
 
 /// Launch blocks that each produce a value; results are returned in block
 /// order (the analogue of each block writing to its own output slot).
-#[allow(clippy::redundant_closure)] // passing `kernel` directly would demand F: Send
 pub fn launch_map<T, F>(n_blocks: usize, kernel: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    (0..n_blocks).into_par_iter().map(|b| kernel(b)).collect()
+    (0..n_blocks).map(kernel).collect()
 }
 
 /// Attach a [`KernelWork`] delta (`after - before`) to an open span —

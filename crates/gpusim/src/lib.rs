@@ -9,10 +9,9 @@
 //!    independent thread blocks; threads inside a block iterate with a
 //!    `blockDim` stride and synchronize at barriers) and run *for real* on
 //!    the CPU, preserving the algorithm and its memory-access structure
-//!    (a launch runs its blocks sequentially on the calling thread: the
-//!    workspace's `rayon` is a sequential shim). [`block::SimtBlock`] is a
-//!    faithful barrier-accurate emulator used by tests; [`exec::launch`] is
-//!    the fast path used by the pipeline.
+//!    (a launch runs its blocks in order on the calling thread).
+//!    [`block::SimtBlock`] is a faithful barrier-accurate emulator used by
+//!    tests; [`exec::launch`] is the fast path used by the pipeline.
 //! 2. **Cost model** ([`device`], [`cost`]) — kernels count their work
 //!    (bytes streamed, scattered accesses, arithmetic, atomics) in a
 //!    [`cost::WorkCounter`]; [`cost::CostModel`] converts those counts into

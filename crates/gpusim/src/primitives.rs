@@ -9,8 +9,6 @@
 //! scan these primitives mirror is machine-checked by the kernel
 //! sanitizer (`tests/simt_scan.rs` with `--features sanitize`).
 
-use rayon::prelude::*;
-
 // ---------------------------------------------------------------------------
 // Scan
 // ---------------------------------------------------------------------------
@@ -42,14 +40,14 @@ pub fn inclusive_scan(v: &[u32]) -> Vec<u32> {
 // Sort / partition
 // ---------------------------------------------------------------------------
 
-/// Stable sort of `items` by `key` (Thrust `stable_sort_by_key`), parallel.
+/// Stable sort of `items` by `key` (Thrust `stable_sort_by_key`).
 pub fn stable_sort_by_key<T, K, F>(items: &mut [T], key: F)
 where
     T: Send,
     K: Ord + Send,
     F: Fn(&T) -> K + Sync,
 {
-    items.par_sort_by_key(key);
+    items.sort_by_key(key);
 }
 
 /// Stable partition: reorder so elements satisfying `pred` precede those
@@ -114,7 +112,7 @@ pub fn run_length_encode<K: PartialEq + Copy>(keys: &[K]) -> (Vec<K>, Vec<u32>) 
 
 /// `out[i] = src[idx[i]]` (Thrust `gather`).
 pub fn gather<T: Copy + Send + Sync>(idx: &[usize], src: &[T]) -> Vec<T> {
-    idx.par_iter().map(|&i| src[i]).collect()
+    idx.iter().map(|&i| src[i]).collect()
 }
 
 /// `out[idx[i]] = src[i]` (Thrust `scatter`). `idx` must be a permutation

@@ -4,20 +4,19 @@
 //! against polygons is infeasible at scale (§II). These baselines make that
 //! argument measurable:
 //!
-//! * [`full_pip_serial`] / [`full_pip_parallel`] — the naive spatial-join
-//!   approach: every cell in every polygon's MBB gets a ray-crossing test.
-//! * [`scanline_serial`] / [`scanline_parallel`] — the classic efficient
-//!   CPU approach used by GIS rasterizers: per raster row, compute the
-//!   polygon's crossings and count whole column spans. The crossings come
-//!   from [`FlatPolygons::row_crossings`], the routine Step 4 uses, so the
-//!   per-point full-PIP baselines are the independent oracles for Step 4.
+//! * [`full_pip`] — the naive spatial-join approach: every cell in every
+//!   polygon's MBB gets a ray-crossing test.
+//! * [`scanline`] — the classic efficient CPU approach used by GIS
+//!   rasterizers: per raster row, compute the polygon's crossings and count
+//!   whole column spans. The crossings come from
+//!   [`FlatPolygons::row_crossings`], the routine Step 4 uses, so the
+//!   per-point [`full_pip`] is the independent oracle for Step 4.
 //!
 //! All baselines implement *identical* boundary semantics to the pipeline
 //! (half-open ray-crossing on cell centers), so results compare with
 //! `assert_eq!`, not tolerances.
 
 use crate::hist::ZoneHistograms;
-use rayon::prelude::*;
 use zonal_geo::{FlatPolygons, Mbr, PolygonLayer};
 use zonal_raster::Raster;
 
@@ -77,65 +76,12 @@ fn collect_rows(zones: Vec<Vec<u64>>, n_bins: usize) -> ZoneHistograms {
 }
 
 /// Naive baseline: a point-in-polygon test for **every** cell in every
-/// polygon MBB, serially.
-pub fn full_pip_serial(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
-    let mut out = ZoneHistograms::new(layer.len(), n_bins);
-    for pid in 0..layer.len() {
-        for (bin, &count) in zone_histogram_pip(raster, layer, pid, n_bins)
-            .iter()
-            .enumerate()
-        {
-            if count > 0 {
-                out.add(pid, bin, count);
-            }
-        }
-    }
-    out
-}
-
-/// Naive baseline, parallel over polygons (the shared-nothing task
-/// parallelism of pre-GPU systems the paper's §II surveys).
-pub fn full_pip_parallel(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
-    let zones: Vec<Vec<u64>> = (0..layer.len())
-        .into_par_iter()
+/// polygon MBB.
+pub fn full_pip(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
+    let zones = (0..layer.len())
         .map(|pid| zone_histogram_pip(raster, layer, pid, n_bins))
         .collect();
     collect_rows(zones, n_bins)
-}
-
-/// Naive baseline generalized over the cell representative point
-/// (paper §III.D). With [`crate::representative::CellRepresentative::Center`] it equals
-/// [`full_pip_serial`]; the pipeline/baseline equivalence tests hold
-/// mode-for-mode.
-pub fn full_pip_with_representative(
-    layer: &PolygonLayer,
-    raster: &Raster,
-    n_bins: usize,
-    representative: crate::representative::CellRepresentative,
-) -> ZoneHistograms {
-    let flat = layer.to_flat();
-    let gt = raster.transform();
-    let mut out = ZoneHistograms::new(layer.len(), n_bins);
-    for pid in 0..layer.len() {
-        // Inflate the MBB by one cell: non-center representatives can pull
-        // a cell whose center-MBB misses the polygon.
-        let mbr = layer.polygon(pid).mbr().inflate(gt.sx.max(gt.sy));
-        let Some((rows, cols)) = cell_ranges(raster, &mbr) else {
-            continue;
-        };
-        for r in rows {
-            for c in cols.clone() {
-                let (inside, _) = representative.test(&flat, pid, gt, r, c);
-                if inside {
-                    let v = raster.get(r, c) as usize;
-                    if v < n_bins {
-                        out.add(pid, v, 1);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Scanline rasterization of one polygon: per raster row, the x-crossings
@@ -179,28 +125,10 @@ fn zone_histogram_scanline(
     bins
 }
 
-/// Scanline baseline, serial.
-pub fn scanline_serial(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
+/// Scanline baseline.
+pub fn scanline(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
     let flat = layer.to_flat();
-    let mut out = ZoneHistograms::new(layer.len(), n_bins);
-    for pid in 0..layer.len() {
-        for (bin, &count) in zone_histogram_scanline(raster, &flat, pid, n_bins)
-            .iter()
-            .enumerate()
-        {
-            if count > 0 {
-                out.add(pid, bin, count);
-            }
-        }
-    }
-    out
-}
-
-/// Scanline baseline, parallel over polygons.
-pub fn scanline_parallel(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHistograms {
-    let flat = layer.to_flat();
-    let zones: Vec<Vec<u64>> = (0..layer.len())
-        .into_par_iter()
+    let zones = (0..layer.len())
         .map(|pid| zone_histogram_scanline(raster, &flat, pid, n_bins))
         .collect();
     collect_rows(zones, n_bins)
@@ -221,22 +149,9 @@ mod tests {
     fn pip_exact_on_rect() {
         let layer = PolygonLayer::from_polygons(vec![Polygon::rect(1.0, 1.0, 3.0, 3.0)]);
         let raster = striped_raster();
-        let h = full_pip_serial(&layer, &raster, 8);
+        let h = full_pip(&layer, &raster, 8);
         // Rect covers a 20×20 block of cell centers.
         assert_eq!(h.zone_total(0), 400);
-    }
-
-    #[test]
-    fn parallel_matches_serial_pip() {
-        let layer = PolygonLayer::from_polygons(vec![
-            Polygon::from_ring(Ring::circle(Point::new(2.0, 2.0), 1.3, 17)),
-            Polygon::rect(0.1, 0.1, 1.1, 3.7),
-        ]);
-        let raster = striped_raster();
-        assert_eq!(
-            full_pip_serial(&layer, &raster, 8),
-            full_pip_parallel(&layer, &raster, 8)
-        );
     }
 
     #[test]
@@ -260,10 +175,9 @@ mod tests {
             ])),
         ]);
         let raster = striped_raster();
-        let pip = full_pip_serial(&layer, &raster, 8);
-        let scan = scanline_serial(&layer, &raster, 8);
+        let pip = full_pip(&layer, &raster, 8);
+        let scan = scanline(&layer, &raster, 8);
         assert_eq!(pip, scan);
-        assert_eq!(scan, scanline_parallel(&layer, &raster, 8));
     }
 
     #[test]
@@ -274,9 +188,9 @@ mod tests {
             Polygon::rect(2.0, 0.0, 4.0, 4.0),
         ]);
         let raster = striped_raster();
-        let h = full_pip_serial(&layer, &raster, 8);
+        let h = full_pip(&layer, &raster, 8);
         assert_eq!(h.total(), 1600);
-        let s = scanline_serial(&layer, &raster, 8);
+        let s = scanline(&layer, &raster, 8);
         assert_eq!(s.total(), 1600);
     }
 
@@ -284,8 +198,8 @@ mod tests {
     fn polygon_outside_raster() {
         let layer = PolygonLayer::from_polygons(vec![Polygon::rect(50.0, 50.0, 51.0, 51.0)]);
         let raster = striped_raster();
-        assert_eq!(full_pip_serial(&layer, &raster, 8).total(), 0);
-        assert_eq!(scanline_serial(&layer, &raster, 8).total(), 0);
+        assert_eq!(full_pip(&layer, &raster, 8).total(), 0);
+        assert_eq!(scanline(&layer, &raster, 8).total(), 0);
     }
 
     #[test]
@@ -293,7 +207,7 @@ mod tests {
         let gt = GeoTransform::new(0.0, 0.0, 0.1, 0.1);
         let raster = Raster::filled(10, 10, 100, gt);
         let layer = PolygonLayer::from_polygons(vec![Polygon::rect(0.0, 0.0, 1.0, 1.0)]);
-        assert_eq!(full_pip_serial(&layer, &raster, 8).total(), 0);
-        assert_eq!(scanline_serial(&layer, &raster, 8).total(), 0);
+        assert_eq!(full_pip(&layer, &raster, 8).total(), 0);
+        assert_eq!(scanline(&layer, &raster, 8).total(), 0);
     }
 }

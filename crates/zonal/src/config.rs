@@ -1,6 +1,5 @@
 //! Pipeline configuration.
 
-use crate::representative::CellRepresentative;
 use serde::{Deserialize, Serialize};
 use zonal_gpusim::DeviceSpec;
 
@@ -29,9 +28,6 @@ pub struct PipelineConfig {
     /// overlap (fully serial decode→compute per strip); `2` is classic
     /// double buffering, matching a CUDA stream pair.
     pub inflight_strips: usize,
-    /// Which point(s) represent a cell in Step 4's tests (paper §III.D;
-    /// default: cell centers).
-    pub representative: CellRepresentative,
 }
 
 impl PipelineConfig {
@@ -44,7 +40,6 @@ impl PipelineConfig {
             device,
             strip_rows: 4,
             inflight_strips: 2,
-            representative: CellRepresentative::Center,
         }
     }
 
@@ -58,7 +53,6 @@ impl PipelineConfig {
             device: DeviceSpec::gtx_titan(),
             strip_rows: 2,
             inflight_strips: 2,
-            representative: CellRepresentative::Center,
         }
     }
 
@@ -74,11 +68,6 @@ impl PipelineConfig {
 
     pub fn with_tile_deg(mut self, tile_deg: f64) -> Self {
         self.tile_deg = tile_deg;
-        self
-    }
-
-    pub fn with_representative(mut self, representative: CellRepresentative) -> Self {
-        self.representative = representative;
         self
     }
 

@@ -33,7 +33,6 @@ pub mod config;
 pub mod hist;
 pub mod pairing;
 pub mod pipeline;
-pub mod representative;
 pub mod simt;
 pub mod stats;
 pub mod step1;
@@ -45,6 +44,5 @@ pub use config::PipelineConfig;
 pub use hist::{ZoneHistograms, ZoneRows};
 pub use pairing::{pair_tiles, GroupedPairs, PairTable};
 pub use pipeline::{run_partition, run_partitions, ZonalResult};
-pub use representative::CellRepresentative;
 pub use stats::{zonal_statistics, ZonalStats};
 pub use timing::{PipelineCounts, PipelineTimings, StepTiming};

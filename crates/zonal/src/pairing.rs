@@ -12,7 +12,6 @@
 //! fraction of the runtime and exact computational geometry is easier off
 //! the device.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use zonal_geo::{classify_box_in_band, BandEdges, PolygonLayer, TileRelation};
 use zonal_gpusim::primitives::{
@@ -104,11 +103,11 @@ impl PairTable {
 
 /// Run Step 2 for `layer` against `grid`.
 pub fn pair_tiles(layer: &PolygonLayer, grid: &TileGrid) -> PairTable {
-    // Phase 1 (parallel over polygons): rasterize each MBB onto the tile
+    // Phase 1 (independent per polygon): rasterize each MBB onto the tile
     // grid and classify every candidate tile exactly.
     let classified: Vec<Vec<(u32, u32, u8)>> = layer
         .polygons()
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(pid, poly)| {
             let mut out = Vec::new();

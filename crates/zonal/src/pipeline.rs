@@ -276,14 +276,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             .iter()
             .map(|&(pid, tid)| (pid, tid, &d.tiles[tid as usize - d.first_tid]))
             .collect();
-        let rc = refine_intersect(
-            &ref_pairs,
-            grid,
-            &zones.flat,
-            &zone_rows,
-            cfg.representative,
-            &s4_cell,
-        );
+        let rc = refine_intersect(&ref_pairs, grid, &zones.flat, &zone_rows, &s4_cell);
         timings.steps[4].wall_secs += t4.elapsed().as_secs_f64();
         counts.pip_cells_tested += rc.cells_tested;
         counts.pip_cells_inside += rc.cells_inside;

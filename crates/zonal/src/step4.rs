@@ -1,30 +1,28 @@
 //! Step 4: cell-in-polygon refinement for boundary tiles.
 //!
-//! For tiles crossed by a polygon boundary, every cell's representative
-//! point is classified against the polygon with the ray-crossing rule over
-//! the flattened `ply_v`/`x_v`/`y_v` arrays (the paper's Fig. 5 kernel,
+//! For tiles crossed by a polygon boundary, every cell's center is
+//! classified against the polygon with the ray-crossing rule over the
+//! flattened `ply_v`/`x_v`/`y_v` arrays (the paper's Fig. 5 kernel,
 //! including the multi-ring sentinel handling). Cells that pass and hold an
 //! in-range value update the polygon histogram.
 //!
 //! The device work is priced as the kernel performs it: one ray test per
-//! sample point, each walking all of the polygon's edges, so counted cost
-//! scales with `cells × polygon edges` and this stays the most expensive
-//! step of paper Table 2. The host takes a shorter route to the same
-//! answer. An edge's crossing with a sample row depends only on the row's
-//! y, so each block computes the polygon's crossings once per cell row and
-//! sample y ([`FlatPolygons::row_crossings`]) and classifies the row's
-//! samples by the parity of the crossings to their right — exactly the
-//! toggles [`FlatPolygons::contains`] makes, so the histograms are
-//! bit-identical while host edge work falls by about the tile width.
+//! cell, each walking all of the polygon's edges, so counted cost scales
+//! with `cells × polygon edges` and this stays the most expensive step of
+//! paper Table 2. The host takes a shorter route to the same answer. An
+//! edge's crossing with a cell row depends only on the row's center y, so
+//! each block computes the polygon's crossings once per cell row
+//! ([`FlatPolygons::row_crossings`]) and classifies the row's centers by
+//! the parity of the crossings to their right — exactly the toggles
+//! [`FlatPolygons::contains`] makes, so the histograms are bit-identical
+//! while host edge work falls by about the tile width.
 //! [`crate::simt::pip_test_body`] keeps the per-cell Fig. 5 loop.
 
 use crate::hist::ZoneRows;
-use crate::representative::{sample_coord, CellRepresentative};
 use std::cell::RefCell;
-use std::ops::Range;
 use zonal_geo::FlatPolygons;
 use zonal_gpusim::{exec, WorkCounter};
-use zonal_raster::{GeoTransform, TileData, TileGrid};
+use zonal_raster::{TileData, TileGrid};
 
 /// Estimated arithmetic per edge test in the Fig. 5 inner loop (compares,
 /// one divide, one multiply): the constant the cost model prices Step 4
@@ -53,58 +51,9 @@ impl RefineCounts {
     }
 }
 
-/// A thread's crossing list and per-cell inside-sample counts, reused
-/// across rows and blocks.
-#[derive(Default)]
-struct Scratch {
-    crossings: Vec<f64>,
-    hits: Vec<u32>,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
-}
-
-impl Scratch {
-    /// For each cell of raster row `row` and columns `cols`, how many of
-    /// its representative samples lie inside polygon `k` (index `dc` holds
-    /// column `cols.start + dc`).
-    ///
-    /// Crossings are computed once per distinct sample y (samples sharing a
-    /// y are adjacent in [`CellRepresentative::samples`]). A sample is
-    /// inside iff an odd number of crossings lie strictly to its right;
-    /// sample x rises with the column (`sx > 0`), so one pointer sweeps the
-    /// sorted crossings once per sample offset.
-    fn row_hits(
-        &mut self,
-        flat: &FlatPolygons,
-        k: usize,
-        gt: &GeoTransform,
-        representative: CellRepresentative,
-        row: usize,
-        cols: Range<usize>,
-    ) -> &[u32] {
-        let Scratch { crossings, hits } = self;
-        hits.clear();
-        hits.resize(cols.len(), 0);
-        let mut crossings_fy = None;
-        for &(fx, fy) in representative.samples() {
-            if crossings_fy != Some(fy) {
-                flat.row_crossings(k, sample_coord(gt.y0, row, fy, gt.sy), crossings);
-                crossings_fy = Some(fy);
-            }
-            // `left` counts the crossings at or left of the current sample.
-            let mut left = 0;
-            for (col, h) in cols.clone().zip(hits.iter_mut()) {
-                let x = sample_coord(gt.x0, col, fx, gt.sx);
-                while left < crossings.len() && crossings[left] <= x {
-                    left += 1;
-                }
-                *h += ((crossings.len() - left) & 1) as u32;
-            }
-        }
-        hits
-    }
+    /// A thread's crossing list, reused across rows and blocks.
+    static CROSSINGS: RefCell<Vec<f64>> = RefCell::default();
 }
 
 /// Refine a strip's intersect pairs.
@@ -118,7 +67,6 @@ pub fn refine_intersect(
     grid: &TileGrid,
     flat: &FlatPolygons,
     zone_rows: &ZoneRows,
-    representative: CellRepresentative,
     cell_work: &WorkCounter,
 ) -> RefineCounts {
     let traced = zonal_obs::enabled();
@@ -130,28 +78,33 @@ pub fn refine_intersect(
     let mut span = zonal_obs::span("step4: PIP refine boundary tiles");
     let gt = *grid.transform();
     let n_bins = zone_rows.n_bins();
-    let min_inside = representative.min_inside();
-    let tests_per_cell = representative.tests_per_cell() as u64;
     let per_block = exec::launch_map(pairs.len(), |b| {
         let (pid, tid, tile) = pairs[b];
+        let k = pid as usize;
         let (tx, ty) = grid.tile_pos(tid as usize);
         let (row0, col0) = grid.tile_origin_cell(tx, ty);
         let cells = (tile.rows * tile.cols) as u64;
-        // Counted as the Fig. 5 kernel does it: every sample of every
-        // cell walks every edge.
+        // Counted as the Fig. 5 kernel does it: every cell walks every edge.
         let mut counts = RefineCounts {
             cells_tested: cells,
-            edge_tests: cells * flat.edge_count(pid as usize) as u64 * tests_per_cell,
+            edge_tests: cells * flat.edge_count(k) as u64,
             ..Default::default()
         };
-        SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
+        CROSSINGS.with(|c| {
+            let crossings = &mut *c.borrow_mut();
             for dr in 0..tile.rows {
-                let cols = col0..col0 + tile.cols;
-                let hits =
-                    scratch.row_hits(flat, pid as usize, &gt, representative, row0 + dr, cols);
-                for (dc, &h) in hits.iter().enumerate() {
-                    if h >= min_inside {
+                flat.row_crossings(k, gt.cell_center(row0 + dr, col0).y, crossings);
+                // A center is inside iff an odd number of crossings lie
+                // strictly to its right. Center x rises with the column
+                // (`sx > 0`), so `left`, the count of crossings at or left
+                // of the current center, only moves forward.
+                let mut left = 0;
+                for dc in 0..tile.cols {
+                    let x = gt.cell_center(row0 + dr, col0 + dc).x;
+                    while left < crossings.len() && crossings[left] <= x {
+                        left += 1;
+                    }
+                    if (crossings.len() - left) % 2 == 1 {
                         counts.cells_inside += 1;
                         let v = tile.get(dr, dc) as usize;
                         if v < n_bins {
@@ -185,7 +138,7 @@ pub fn refine_intersect(
 mod tests {
     use super::*;
     use zonal_geo::{Polygon, Ring};
-    use zonal_raster::NODATA;
+    use zonal_raster::{GeoTransform, NODATA};
 
     /// One 10×10-cell tile covering [0,1]², cell size 0.1.
     fn one_tile_grid() -> TileGrid {
@@ -204,14 +157,7 @@ mod tests {
         let tile = TileData::filled(3, 10, 10);
         let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
-        let c = refine_intersect(
-            &[(0, 0, &tile)],
-            &grid,
-            &flat,
-            &zone,
-            CellRepresentative::Center,
-            &wc,
-        );
+        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
         assert_eq!(c.cells_tested, 100);
         assert_eq!(c.cells_inside, 50);
         assert_eq!(c.cells_counted, 50);
@@ -228,14 +174,7 @@ mod tests {
         let tile = TileData::new(values, 10, 10);
         let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
-        let c = refine_intersect(
-            &[(0, 0, &tile)],
-            &grid,
-            &flat,
-            &zone,
-            CellRepresentative::Center,
-            &wc,
-        );
+        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
         assert_eq!(c.cells_inside, 100);
         assert_eq!(c.cells_counted, 98);
         assert_eq!(zone.into_histograms().get(0, 1), 98);
@@ -251,14 +190,7 @@ mod tests {
         let tile = TileData::filled(0, 10, 10);
         let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(
-            &[(0, 0, &tile)],
-            &grid,
-            &flat,
-            &zone,
-            CellRepresentative::Center,
-            &wc,
-        );
+        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
         // Centers are at 0.05, 0.15, ..., 0.95. Under the half-open rule the
         // hole owns centers with both coords in [0.25, 0.75): that's
         // {0.25, 0.35, 0.45, 0.55, 0.65} per axis => 5×5 = 25 cells excluded.
@@ -278,14 +210,7 @@ mod tests {
         let tile = TileData::filled(2, 10, 10);
         let zone = ZoneRows::new(&[true, true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(
-            &[(0, 0, &tile), (1, 0, &tile)],
-            &grid,
-            &flat,
-            &zone,
-            CellRepresentative::Center,
-            &wc,
-        );
+        let c = refine_intersect(&[(0, 0, &tile), (1, 0, &tile)], &grid, &flat, &zone, &wc);
         let h = zone.into_histograms();
         assert_eq!(h.get(0, 2), 50, "zone 0 gets the left half");
         assert_eq!(h.get(1, 2), 50, "zone 1 gets the right half");
@@ -299,29 +224,21 @@ mod tests {
         let tile = TileData::filled(0, 10, 10);
         let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(
-            &[(0, 0, &tile)],
-            &grid,
-            &flat,
-            &zone,
-            CellRepresentative::Center,
-            &wc,
-        );
+        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
         assert_eq!(c.edge_tests, 100 * flat.edge_count(0) as u64);
         let w = wc.snapshot();
         assert_eq!(w.flops, c.edge_tests * FLOPS_PER_EDGE_TEST + 100 * 4);
         assert_eq!(w.atomics, c.cells_counted);
     }
 
-    /// Per-cell reference: one [`CellRepresentative::test`] (per-point
-    /// `contains`) per cell of the tile, histogrammed into `n_bins`.
+    /// Per-cell reference: one [`FlatPolygons::contains`] test of each
+    /// cell center of the tile, histogrammed into `n_bins`.
     fn per_cell_oracle(
         flat: &FlatPolygons,
         pid: usize,
         grid: &TileGrid,
         tid: usize,
         tile: &TileData,
-        representative: CellRepresentative,
         n_bins: usize,
     ) -> Vec<u64> {
         let (tx, ty) = grid.tile_pos(tid);
@@ -329,10 +246,9 @@ mod tests {
         let mut bins = vec![0u64; n_bins];
         for dr in 0..tile.rows {
             for dc in 0..tile.cols {
-                let (inside, _) =
-                    representative.test(flat, pid, grid.transform(), row0 + dr, col0 + dc);
+                let center = grid.transform().cell_center(row0 + dr, col0 + dc);
                 let v = tile.get(dr, dc) as usize;
-                if inside && v < n_bins {
+                if flat.contains(pid, center) && v < n_bins {
                     bins[v] += 1;
                 }
             }
@@ -340,54 +256,20 @@ mod tests {
         bins
     }
 
-    const ALL_REPRESENTATIVES: [CellRepresentative; 3] = [
-        CellRepresentative::Center,
-        CellRepresentative::LowerLeftCorner,
-        CellRepresentative::Majority4,
-    ];
-
     /// Refine one tile for polygon 0 and compare with the per-cell oracle.
     fn assert_matches_oracle(flat: &FlatPolygons, grid: &TileGrid, tid: usize, tile: &TileData) {
-        for rep in ALL_REPRESENTATIVES {
-            let zone = ZoneRows::new(&[true], 8);
-            let c = refine_intersect(
-                &[(0, tid as u32, tile)],
-                grid,
-                flat,
-                &zone,
-                rep,
-                &WorkCounter::new(),
-            );
-            let expected = per_cell_oracle(flat, 0, grid, tid, tile, rep, 8);
-            assert_eq!(zone.into_histograms().zone(0), &expected[..], "{rep:?}");
-            assert_eq!(c.cells_counted, expected.iter().sum::<u64>(), "{rep:?}");
-            assert_eq!(c.cells_tested, (tile.rows * tile.cols) as u64);
-        }
-    }
-
-    #[test]
-    fn majority4_accounting_prices_four_ray_tests_per_cell() {
-        let flat = flat_of(Polygon::rect(-1.0, -1.0, 0.5, 2.0));
-        let grid = one_tile_grid();
-        let tile = TileData::filled(0, 10, 10);
-        let zone = ZoneRows::new(&[true], 4);
-        let wc = WorkCounter::new();
+        let zone = ZoneRows::new(&[true], 8);
         let c = refine_intersect(
-            &[(0, 0, &tile)],
-            &grid,
-            &flat,
+            &[(0, tid as u32, tile)],
+            grid,
+            flat,
             &zone,
-            CellRepresentative::Majority4,
-            &wc,
+            &WorkCounter::new(),
         );
-        // Columns 0–4 have all four quarter points left of x = 0.5.
-        assert_eq!(c.cells_inside, 50);
-        assert_eq!(c.edge_tests, 100 * flat.edge_count(0) as u64 * 4);
-        let w = wc.snapshot();
-        assert_eq!(w.flops, c.edge_tests * FLOPS_PER_EDGE_TEST + 100 * 4);
-        assert_eq!(w.coalesced_bytes, 100 * 2);
-        assert_eq!(w.atomics, 50);
-        assert_eq!(w.launches, 1);
+        let expected = per_cell_oracle(flat, 0, grid, tid, tile, 8);
+        assert_eq!(zone.into_histograms().zone(0), &expected[..]);
+        assert_eq!(c.cells_counted, expected.iter().sum::<u64>());
+        assert_eq!(c.cells_tested, (tile.rows * tile.cols) as u64);
     }
 
     #[test]
@@ -411,7 +293,6 @@ mod tests {
             &grid,
             &flat,
             &zone,
-            CellRepresentative::Center,
             &WorkCounter::new(),
         );
         assert!(c.cells_inside > 0 && c.cells_inside < 15, "{c:?}");
@@ -419,9 +300,9 @@ mod tests {
 
     #[test]
     fn vertices_on_sample_rows_match_per_cell_tests() {
-        // Unit cells: centers sit at k + 0.5 and quarter points at
-        // k + 0.25 / k + 0.75, all exact. The polygon puts vertices and a
-        // horizontal edge on those rows, and vertices on sample columns.
+        // Unit cells: centers sit at k + 0.5, exactly. The polygon puts
+        // vertices and a horizontal edge on center rows, and vertices on
+        // center columns.
         let grid = TileGrid::new(10, 10, 10, GeoTransform::new(0.0, 0.0, 1.0, 1.0));
         let tile = TileData::new((0..100).map(|i| (i % 7) as u16).collect(), 10, 10);
         let pts = [
@@ -454,7 +335,7 @@ mod tests {
         let grid = one_tile_grid();
         let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[], &grid, &flat, &zone, CellRepresentative::Center, &wc);
+        let c = refine_intersect(&[], &grid, &flat, &zone, &wc);
         assert_eq!(c, RefineCounts::default());
     }
 }

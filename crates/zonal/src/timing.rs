@@ -296,19 +296,29 @@ impl PipelineTimings {
             // No strip records (hand-assembled timings): nothing to overlap.
             return self.end_to_end_sim_secs_at_scale(cell_factor);
         }
-        let strip_costs: Vec<StripCost> = self
-            .strips
-            .iter()
-            .map(|s| StripCost {
-                transfer_secs: m.transfer_secs_f(strip_bytes(s)),
-                compute_secs: s.compute_secs_at_scale(&m, cell_factor),
-            })
-            .collect();
-        let pipeline = m.overlapped_pipeline_secs(&strip_costs);
+        let pipeline = m.overlapped_pipeline_secs(&self.strip_costs(&m, cell_factor, strip_bytes));
         let cpu = self.steps[2].sim_secs_at_scale(&m, cell_factor);
         let fixed_xfer =
             m.transfer_secs(self.fixed_input_bytes) + m.transfer_secs(self.output_bytes);
         cpu + pipeline + fixed_xfer
+    }
+
+    /// Per-strip upload and compute costs on `m`, uploading
+    /// `strip_bytes(strip)` bytes per strip: the input of both the
+    /// overlapped figure and its trace replay.
+    fn strip_costs(
+        &self,
+        m: &CostModel,
+        cell_factor: f64,
+        strip_bytes: impl Fn(&StripWork) -> f64,
+    ) -> Vec<StripCost> {
+        self.strips
+            .iter()
+            .map(|s| StripCost {
+                transfer_secs: m.transfer_secs_f(strip_bytes(s)),
+                compute_secs: s.compute_secs_at_scale(m, cell_factor),
+            })
+            .collect()
     }
 
     /// Total measured wall seconds across steps.
@@ -343,14 +353,8 @@ impl PipelineTimings {
             return Vec::new();
         }
         let m = self.model();
-        let strip_costs: Vec<StripCost> = self
-            .strips
-            .iter()
-            .map(|s| StripCost {
-                transfer_secs: m.transfer_secs_f(s.encoded_bytes as f64 * cell_factor),
-                compute_secs: s.compute_secs_at_scale(&m, cell_factor),
-            })
-            .collect();
+        let strip_costs =
+            self.strip_costs(&m, cell_factor, |s| s.encoded_bytes as f64 * cell_factor);
         let sched = m.overlapped_pipeline_schedule(&strip_costs);
 
         let mut spans = Vec::new();

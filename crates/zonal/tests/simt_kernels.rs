@@ -10,7 +10,7 @@
 
 use zonal_core::simt::{cell_aggr_kernel, pip_test_kernel, update_hist_kernel};
 use zonal_core::step4::refine_intersect;
-use zonal_core::{CellRepresentative, ZoneRows};
+use zonal_core::ZoneRows;
 use zonal_geo::{FlatPolygons, Point, Polygon, Ring};
 use zonal_gpusim::{TrackedBufU32, WorkCounter};
 use zonal_raster::{GeoTransform, TileData, TileGrid};
@@ -160,14 +160,7 @@ fn fig5_kernel_matches_host_step4() {
     );
     let tile = TileData::new(raw, tile_cells, tile_cells);
     let zone = ZoneRows::new(&[true], hist_size);
-    let counts = refine_intersect(
-        &[(0, 0, &tile)],
-        &grid,
-        &flat,
-        &zone,
-        CellRepresentative::Center,
-        &WorkCounter::new(),
-    );
+    let counts = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &WorkCounter::new());
     assert!(counts.cells_counted > 0, "fixture must have inside cells");
     assert!(counts.cells_inside < 144, "fixture must have outside cells");
     assert_eq!(zone.into_histograms().zone(0), &kernel[..]);

@@ -27,15 +27,15 @@ fn workload(seed: u64) -> (Zones, SyntheticSrtm, TileGrid) {
 
 #[test]
 fn pipeline_matches_both_baselines_exactly() {
-    for seed in [1u64, 17, 23981] {
+    for seed in [1u64, 17, 21, 23981] {
         let (zones, src, _grid) = workload(seed);
         let cfg = PipelineConfig::paper(DeviceSpec::gtx_titan())
             .with_tile_deg(0.5)
             .with_bins(5000);
         let pipe = run_partition(&cfg, &zones, &src);
         let raster = src.to_raster();
-        let pip = baseline::full_pip_serial(&zones.layer, &raster, cfg.n_bins);
-        let scan = baseline::scanline_serial(&zones.layer, &raster, cfg.n_bins);
+        let pip = baseline::full_pip(&zones.layer, &raster, cfg.n_bins);
+        let scan = baseline::scanline(&zones.layer, &raster, cfg.n_bins);
         assert_eq!(pipe.hists, pip, "pipeline vs PIP oracle, seed {seed}");
         assert_eq!(pipe.hists, scan, "pipeline vs scanline oracle, seed {seed}");
     }
@@ -146,55 +146,4 @@ fn bin_count_only_truncates() {
             );
         }
     }
-}
-
-#[test]
-fn representative_modes_match_their_baselines() {
-    use zonal_histo::zonal::CellRepresentative;
-    let (zones, src, _) = workload(21);
-    let raster = src.to_raster();
-    for mode in [
-        CellRepresentative::Center,
-        CellRepresentative::LowerLeftCorner,
-        CellRepresentative::Majority4,
-    ] {
-        let cfg = PipelineConfig::paper(DeviceSpec::gtx_titan())
-            .with_tile_deg(0.5)
-            .with_bins(5000)
-            .with_representative(mode);
-        let pipe = run_partition(&cfg, &zones, &src);
-        let oracle =
-            baseline::full_pip_with_representative(&zones.layer, &raster, cfg.n_bins, mode);
-        assert_eq!(pipe.hists, oracle, "{mode:?}");
-    }
-}
-
-#[test]
-fn corner_mode_shifts_boundary_attribution() {
-    use zonal_histo::zonal::CellRepresentative;
-    let (zones, src, _) = workload(22);
-    let base = run_partition(
-        &PipelineConfig::paper(DeviceSpec::gtx_titan()).with_tile_deg(0.5),
-        &zones,
-        &src,
-    );
-    let corner = run_partition(
-        &PipelineConfig::paper(DeviceSpec::gtx_titan())
-            .with_tile_deg(0.5)
-            .with_representative(CellRepresentative::LowerLeftCorner),
-        &zones,
-        &src,
-    );
-    assert_ne!(
-        base.hists, corner.hists,
-        "different representatives must differ at boundaries"
-    );
-    // But both are partition rules: identical totals over a tessellation
-    // would require identical land masks — compare approximately instead:
-    // totals differ by less than the boundary-cell population.
-    let delta = base.hists.total().abs_diff(corner.hists.total());
-    assert!(
-        delta < base.counts.pip_cells_tested,
-        "delta {delta} bounded by boundary cells"
-    );
 }

@@ -7,7 +7,7 @@ use zonal_histo::gpusim::DeviceSpec;
 use zonal_histo::raster::{GeoTransform, Raster, TileGrid};
 use zonal_histo::zonal::pipeline::{run_partition, Zones};
 use zonal_histo::zonal::stats::stats_of_histogram;
-use zonal_histo::zonal::{baseline, CellRepresentative, PipelineConfig};
+use zonal_histo::zonal::{baseline, PipelineConfig};
 
 /// Random layer of disjoint-ish circles and rectangles inside [0,8]×[0,6].
 /// Overlap is allowed — zonal histogramming is defined per zone, so zones
@@ -72,35 +72,25 @@ proptest! {
         let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(n_bins);
         cfg.tile_deg = tile_cells as f64 * raster.transform().sx; // match grid
         let pipe = run_partition(&cfg, &zones, &raster.tile_source(&grid));
-        let scan = baseline::scanline_serial(&zones.layer, &raster, cfg.n_bins);
+        let scan = baseline::scanline(&zones.layer, &raster, cfg.n_bins);
         prop_assert_eq!(pipe.hists, scan);
     }
 
     /// Step 4's row-crossing pass against the per-cell oracle, which
-    /// tests every sample point with `contains`: equal for every cell
-    /// representative and tile size.
+    /// tests every cell center with `contains`, for every tile size.
     #[test]
-    fn pipeline_equals_per_cell_pip_for_every_representative(
+    fn pipeline_equals_per_cell_pip(
         layer in layer_strategy(),
         raster in raster_strategy(),
         tile_cells in 3usize..41,
-        representative_choice in 0usize..3,
     ) {
-        let representative = [
-            CellRepresentative::Center,
-            CellRepresentative::LowerLeftCorner,
-            CellRepresentative::Majority4,
-        ][representative_choice];
         let zones = Zones::new(layer);
         let grid = TileGrid::new(raster.rows(), raster.cols(), tile_cells, *raster.transform());
-        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan())
-            .with_bins(256)
-            .with_representative(representative);
+        let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(256);
         cfg.tile_deg = tile_cells as f64 * raster.transform().sx; // match grid
         let pipe = run_partition(&cfg, &zones, &raster.tile_source(&grid));
-        let oracle =
-            baseline::full_pip_with_representative(&zones.layer, &raster, cfg.n_bins, representative);
-        prop_assert_eq!(pipe.hists, oracle, "{:?}", representative);
+        let oracle = baseline::full_pip(&zones.layer, &raster, cfg.n_bins);
+        prop_assert_eq!(pipe.hists, oracle);
     }
 
     #[test]
