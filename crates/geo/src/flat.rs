@@ -181,21 +181,29 @@ impl FlatPolygons {
     /// for every point of the line.
     pub fn row_crossings(&self, k: usize, y: f64, out: &mut Vec<f64>) {
         out.clear();
+        out.extend(self.edges(k).filter_map(|e| crossing(e, y)));
+        out.sort_unstable_by(f64::total_cmp);
+    }
+
+    /// Polygon `k`'s edges as `[x0, y0, x1, y1]`, in vertex order, with
+    /// the sentinel skip of [`FlatPolygons::contains`]: the edge into a
+    /// sentinel and the edge out of it are not edges.
+    fn edges(&self, k: usize) -> impl Iterator<Item = [f64; 4]> + '_ {
         let (p_f, p_t) = self.vertex_range(k);
         let mut j = p_f;
-        while j + 1 < p_t {
-            let (x1, y1) = (self.x_v[j + 1], self.y_v[j + 1]);
-            if x1 == RING_SENTINEL.x && y1 == RING_SENTINEL.y {
-                j += 2;
-                continue;
+        std::iter::from_fn(move || {
+            while j + 1 < p_t {
+                let (x1, y1) = (self.x_v[j + 1], self.y_v[j + 1]);
+                if x1 == RING_SENTINEL.x && y1 == RING_SENTINEL.y {
+                    j += 2;
+                    continue;
+                }
+                let edge = [self.x_v[j], self.y_v[j], x1, y1];
+                j += 1;
+                return Some(edge);
             }
-            let (x0, y0) = (self.x_v[j], self.y_v[j]);
-            if (y0 <= y) != (y1 <= y) {
-                out.push((x1 - x0) * (y - y0) / (y1 - y0) + x0);
-            }
-            j += 1;
-        }
-        out.sort_unstable_by(f64::total_cmp);
+            None
+        })
     }
 
     /// Number of edge tests [`FlatPolygons::contains`] performs for polygon
@@ -208,6 +216,75 @@ impl FlatPolygons {
     /// MBR of the whole layer.
     pub fn layer_mbr(&self) -> Mbr {
         self.mbrs.iter().fold(Mbr::EMPTY, |m, b| m.union(b))
+    }
+}
+
+/// The x where edge `[x0, y0, x1, y1]` crosses the line at `y`, if it
+/// straddles it: the half-open test and the crossing expression of
+/// [`FlatPolygons::contains`].
+#[inline]
+fn crossing([x0, y0, x1, y1]: [f64; 4], y: f64) -> Option<f64> {
+    ((y0 <= y) != (y1 <= y)).then(|| (x1 - x0) * (y - y0) / (y1 - y0) + x0)
+}
+
+/// One polygon's edges that can cross a horizontal band of lines: the
+/// lines with `y` in `[y_lo, y_hi]`.
+///
+/// A raster row band (the center rows of one tile row) asks for the
+/// crossings of every one of its lines. Gathering the edges that can
+/// straddle any of them once, [`FlatBand::row_crossings`] then tests only
+/// those, and returns exactly what [`FlatPolygons::row_crossings`] returns
+/// for every `y` in the band: an edge straddles `y` iff
+/// `min(y0, y1) <= y < max(y0, y1)`, which for some `y` in the band needs
+/// `min(y0, y1) <= y_hi && max(y0, y1) > y_lo`.
+///
+/// ```
+/// use zonal_geo::{FlatBand, FlatPolygons, Polygon, Ring};
+///
+/// let flat = FlatPolygons::from_polygons(&[Polygon::new(vec![
+///     Ring::rect(0.0, 0.0, 9.0, 9.0),
+///     Ring::rect(3.0, 6.0, 5.0, 8.0),
+/// ])]);
+/// let mut band = FlatBand::default();
+/// band.fill(&flat, 0, 1.5, 2.5);
+/// assert_eq!(band.len(), 2); // the hole's edges cannot reach the band
+/// let (mut xs, mut want) = (Vec::new(), Vec::new());
+/// band.row_crossings(2.0, &mut xs);
+/// flat.row_crossings(0, 2.0, &mut want);
+/// assert_eq!(xs, want);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FlatBand {
+    edges: Vec<[f64; 4]>,
+}
+
+impl FlatBand {
+    /// Gather polygon `k`'s edges that can straddle a line with `y` in
+    /// `[y_lo, y_hi]`, replacing the previous band.
+    pub fn fill(&mut self, flat: &FlatPolygons, k: usize, y_lo: f64, y_hi: f64) {
+        self.edges.clear();
+        self.edges.extend(
+            flat.edges(k)
+                .filter(|&[_, y0, _, y1]| y0.min(y1) <= y_hi && y0.max(y1) > y_lo),
+        );
+    }
+
+    /// Number of gathered edges.
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// [`FlatPolygons::row_crossings`] for a line of the band, bit for bit:
+    /// the same edges straddle it, each gives the same crossing x, and the
+    /// values are sorted the same way.
+    pub fn row_crossings(&self, y: f64, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.edges.iter().filter_map(|&e| crossing(e, y)));
+        out.sort_unstable_by(f64::total_cmp);
     }
 }
 
@@ -325,6 +402,54 @@ mod tests {
             let odd = xs.iter().filter(|&&c| c > x).count() % 2 == 1;
             assert_eq!(odd, flat.contains(0, Point::new(x, 4.0)), "x = {x}");
         }
+    }
+
+    #[test]
+    fn band_crossings_equal_row_crossings_bit_for_bit() {
+        let layer = crate::CountyConfig::small(7).generate();
+        let flat = layer.to_flat();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut band, mut got, mut want) = (FlatBand::default(), Vec::new(), Vec::new());
+        let mut crossings = 0;
+        for k in 0..flat.len() {
+            let m = flat.mbrs[k];
+            let (p_f, _) = flat.vertex_range(k);
+            for trial in 0..8 {
+                // Band ends at random heights over the MBR, or exactly on
+                // vertex rows, where the half-open test decides.
+                let (y_lo, y_hi) = if trial < 4 {
+                    let a = m.min_y - 0.1 + (m.height() + 0.2) * unit();
+                    (a, a + m.height() * 0.3 * unit())
+                } else {
+                    (flat.y_v[p_f + trial], flat.y_v[p_f + trial + 1])
+                };
+                let (y_lo, y_hi) = (y_lo.min(y_hi), y_lo.max(y_hi));
+                band.fill(&flat, k, y_lo, y_hi);
+                assert!(band.len() <= flat.edge_count(k));
+                for i in 0..=16 {
+                    let y = match i {
+                        0 => y_lo,
+                        16 => y_hi,
+                        _ => y_lo + (y_hi - y_lo) * unit(),
+                    };
+                    band.row_crossings(y, &mut got);
+                    flat.row_crossings(k, y, &mut want);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "polygon {k}, y = {y}");
+                    crossings += got.len();
+                }
+            }
+        }
+        assert!(
+            crossings > 1000,
+            "the bands must cross the layer: {crossings}"
+        );
     }
 
     #[test]

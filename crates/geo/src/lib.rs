@@ -37,7 +37,7 @@ pub mod wkt;
 pub use classify::{classify_box, classify_box_in_band, BandEdges, TileRelation};
 pub use counties::{CountyConfig, CountyLayerStats};
 pub use dataset::PolygonLayer;
-pub use flat::FlatPolygons;
+pub use flat::{FlatBand, FlatPolygons};
 pub use mbr::Mbr;
 pub use pip::{point_in_polygon, point_in_ring};
 pub use point::Point;

@@ -6,12 +6,13 @@
 //! needs owned strings (lane names, simulated-device spans) lives in the
 //! cold export path instead ([`crate::chrome`]).
 
-/// Maximum `(name, value)` argument pairs one event can carry. Six is
+/// Maximum `(name, value)` argument pairs one event can carry. Seven is
 /// enough for a full [`KernelWork`]-style snapshot (flops, coalesced,
-/// scattered, atomics, launches) plus one context value.
+/// scattered, atomics, launches) plus two context values (a kernel's
+/// blocks and, for Step 4, the pairs its blocks refine).
 ///
 /// [`KernelWork`]: https://docs.rs/zonal-gpusim
-pub const MAX_ARGS: usize = 6;
+pub const MAX_ARGS: usize = 7;
 
 /// What an event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,8 +9,9 @@
 //! * [`scanline`] — the classic efficient CPU approach used by GIS
 //!   rasterizers: per raster row, compute the polygon's crossings and count
 //!   whole column spans. The crossings come from
-//!   [`FlatPolygons::row_crossings`], the routine Step 4 uses, so the
-//!   per-point [`full_pip`] is the independent oracle for Step 4.
+//!   [`FlatPolygons::row_crossings`], which Step 4's band crossings equal
+//!   bit for bit, so the per-point [`full_pip`] is the independent oracle
+//!   for Step 4.
 //!
 //! All baselines implement *identical* boundary semantics to the pipeline
 //! (half-open ray-crossing on cell centers), so results compare with
@@ -88,10 +89,10 @@ pub fn full_pip(layer: &PolygonLayer, raster: &Raster, n_bins: usize) -> ZoneHis
 /// of all edges with the row's center latitude, converted to cell column
 /// spans.
 ///
-/// The crossings come from [`FlatPolygons::row_crossings`], the routine
-/// Step 4 classifies cells with, so boundary semantics match the
-/// ray-crossing test exactly: a cell center is inside iff an odd number of
-/// crossings lie strictly to its right, which makes the spans
+/// The crossings come from [`FlatPolygons::row_crossings`], equal bit for
+/// bit to the ones Step 4 classifies cells with, so boundary semantics
+/// match the ray-crossing test exactly: a cell center is inside iff an odd
+/// number of crossings lie strictly to its right, which makes the spans
 /// `[x_{2k}, x_{2k+1})` over the sorted crossing list.
 fn zone_histogram_scanline(
     raster: &Raster,

@@ -235,6 +235,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     // refined in Step 4 vs. cells settled wholesale by tile classification.
     let pip_performed = zonal_obs::counter("pip_tests_performed");
     let pip_avoided = zonal_obs::counter("pip_tests_avoided");
+    let strip_cells = zonal_obs::histogram("strip_cells");
 
     // ----- Compute stage (Steps 1/3/4): drains strips strictly in order.
     // Per-strip counters feed both the step totals and the per-strip
@@ -245,6 +246,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             .arg("strip", d.strip as u64)
             .arg("cells", d.cells);
         timings.steps[0].wall_secs += d.decode_wall;
+        strip_cells.record(d.cells);
         counts.n_cells += d.cells;
         counts.encoded_bytes += d.encoded_bytes;
         counts.raw_bytes += d.cells * 2;
@@ -255,8 +257,13 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         let s4_cell = WorkCounter::new();
 
         // ----- Step 1: per-tile histograms --------------------------------
+        // Only the tiles of inside pairs have their runs read (Step 3).
         let t1 = Instant::now();
-        let tile_hists = per_tile_histograms(&d.tiles, n_bins, &s1_cell, &s1_fixed);
+        let mut wanted = vec![false; d.tiles.len()];
+        for &(_, tid) in &inside_by_strip[d.strip] {
+            wanted[tid as usize - d.first_tid] = true;
+        }
+        let tile_hists = per_tile_histograms(&d.tiles, &wanted, n_bins, &s1_cell, &s1_fixed);
         timings.steps[1].wall_secs += t1.elapsed().as_secs_f64();
         counts.n_valid_cells += tile_hists.iter().map(|h| h.valid_cells).sum::<u64>();
         counts.n_nodata_cells += tile_hists.iter().map(|h| h.skipped_cells).sum::<u64>();

@@ -3,8 +3,9 @@
 //! The production pipeline executes Steps 1/3/4 as block launches that
 //! run sequentially on the calling thread ([`zonal_gpusim::exec`]); the
 //! kernels here are the paper's Fig. 2, Fig. 4, and Fig. 5 listings
-//! transcribed thread-for-thread (Step 4's host route classifies cells by
-//! row crossings instead; this Fig. 5 body keeps one ray test per cell)
+//! transcribed thread-for-thread (Step 4's host route classifies a tile
+//! row's cells by row crossings instead; this Fig. 5 body keeps one ray
+//! test per cell)
 //! and run on the
 //! [`zonal_gpusim::block::SimtBlock`] emulator, where `__syncthreads()`
 //! placement and atomic usage are exercised by real OS threads and real

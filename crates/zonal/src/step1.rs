@@ -14,8 +14,13 @@
 //! than bins. The host therefore emits each tile's histogram as its
 //! sorted non-zero `(bin, count)` runs, counting into a per-thread
 //! `n_bins` scratch and resetting only the bins it touched, so host work
-//! is proportional to cells. The counted device work is still the
-//! kernel's: `n_bins` zeroed and written back per tile.
+//! is proportional to cells. Only Step 3 reads the runs, and only for
+//! tiles inside some polygon, so the host builds runs just for the tiles
+//! the caller marks; for the others (about a third of the 120-cpd
+//! catalog's tiles) it only counts the in-range cells, which keeps the
+//! cell accounting exact. The counted device work is still the kernel's,
+//! for every tile: `n_bins` zeroed and written back, one atomic per valid
+//! cell.
 
 use std::cell::RefCell;
 use zonal_gpusim::exec;
@@ -76,11 +81,15 @@ fn tile_runs(values: &[u16], n_bins: usize) -> Vec<(u16, u32)> {
 
 /// Compute per-tile histograms for a batch of decoded tiles (one strip).
 ///
-/// Work accounting mirrors the kernel: zeroing bins is tile-proportional
-/// ("fixed" under resolution scaling), reading cells and the one atomic per
-/// valid cell are cell-proportional.
+/// `wanted[b]` says whether tile `b`'s runs are read; an unwanted tile
+/// gets empty `runs` but exact `valid_cells` and `skipped_cells`.
+///
+/// Work accounting mirrors the kernel, whatever `wanted` says: zeroing
+/// bins is tile-proportional ("fixed" under resolution scaling), reading
+/// cells and the one atomic per valid cell are cell-proportional.
 pub fn per_tile_histograms(
     tiles: &[TileData],
+    wanted: &[bool],
     n_bins: usize,
     cell_work: &WorkCounter,
     fixed_work: &WorkCounter,
@@ -92,10 +101,21 @@ pub fn per_tile_histograms(
         Default::default()
     };
     let mut span = zonal_obs::span("step1: per-tile histograms");
+    assert_eq!(wanted.len(), tiles.len(), "one mark per tile");
     let hists = exec::launch_map(tiles.len(), |b| {
         let tile = &tiles[b];
-        let runs = tile_runs(&tile.values, n_bins);
-        let valid: u64 = runs.iter().map(|&(_, c)| c as u64).sum();
+        let (runs, valid) = if wanted[b] {
+            let runs = tile_runs(&tile.values, n_bins);
+            let valid = runs.iter().map(|&(_, c)| c as u64).sum();
+            (runs, valid)
+        } else {
+            let valid = tile
+                .values
+                .iter()
+                .filter(|&&v| (v as usize) < n_bins)
+                .count();
+            (Vec::new(), valid as u64)
+        };
         TileHistogram {
             runs,
             valid_cells: valid,
@@ -135,7 +155,7 @@ mod tests {
     fn counts_every_value() {
         let tile = TileData::new(vec![0, 1, 1, 2, 2, 2], 2, 3);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), 4, &cw, &fw)[0];
+        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 4, &cw, &fw)[0];
         assert_eq!(h.runs, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(h.valid_cells, 6);
         assert_eq!(h.skipped_cells, 0);
@@ -145,7 +165,7 @@ mod tests {
     fn nodata_and_out_of_range_skipped() {
         let tile = TileData::new(vec![0, NODATA, 100, 5], 2, 2);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), 10, &cw, &fw)[0];
+        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 10, &cw, &fw)[0];
         assert_eq!(
             h.runs,
             vec![(0, 1), (5, 1)],
@@ -159,7 +179,7 @@ mod tests {
     fn batch_of_tiles() {
         let tiles: Vec<TileData> = (0..20).map(|k| TileData::filled(k as u16, 4, 4)).collect();
         let (cw, fw) = wc();
-        let hists = per_tile_histograms(&tiles, 16, &cw, &fw);
+        let hists = per_tile_histograms(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
         assert_eq!(hists.len(), 20);
         for (k, h) in hists.iter().enumerate() {
             if k < 16 {
@@ -180,7 +200,7 @@ mod tests {
     fn work_accounting() {
         let tiles = vec![TileData::filled(1, 10, 10), TileData::filled(999, 10, 10)];
         let (cw, fw) = wc();
-        let _ = per_tile_histograms(&tiles, 16, &cw, &fw);
+        let _ = per_tile_histograms(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
         let cell = cw.snapshot();
         let fixed = fw.snapshot();
         assert_eq!(cell.coalesced_bytes, 200 * 2, "two bytes per cell");
@@ -193,9 +213,51 @@ mod tests {
     }
 
     #[test]
+    fn unwanted_tiles_keep_exact_cell_accounting() {
+        // Mixed tiles: in range, no-data, out of range and mixtures.
+        let tiles: Vec<TileData> = (0..12u16)
+            .map(|k| {
+                let values = (0..35u16)
+                    .map(|i| match (i + k) % 5 {
+                        0 => NODATA,
+                        1 => 30 + i % 4, // 32 and 33 are just out of range
+                        _ => (i * 7 + k) % 30,
+                    })
+                    .collect();
+                TileData::new(values, 5, 7)
+            })
+            .collect();
+        let wanted: Vec<bool> = (0..12).map(|k| k % 3 != 1).collect();
+        let (cw, fw) = wc();
+        let full = per_tile_histograms(&tiles, &[true; 12], 32, &cw, &fw);
+        let (mcw, mfw) = wc();
+        let masked = per_tile_histograms(&tiles, &wanted, 32, &mcw, &mfw);
+        for (k, (f, m)) in full.iter().zip(&masked).enumerate() {
+            assert_eq!(m.valid_cells, f.valid_cells, "tile {k}");
+            assert_eq!(m.skipped_cells, f.skipped_cells, "tile {k}");
+            if wanted[k] {
+                assert_eq!(m.runs, f.runs, "tile {k}");
+            } else {
+                assert!(m.runs.is_empty(), "tile {k}");
+                assert!(f.valid_cells > 0 && f.skipped_cells > 0, "tile {k}");
+            }
+        }
+        assert_eq!(
+            mcw.snapshot(),
+            cw.snapshot(),
+            "counted cell work is unmasked"
+        );
+        assert_eq!(
+            mfw.snapshot(),
+            fw.snapshot(),
+            "counted fixed work is unmasked"
+        );
+    }
+
+    #[test]
     fn empty_batch() {
         let (cw, fw) = wc();
-        let hists = per_tile_histograms(&[], 16, &cw, &fw);
+        let hists = per_tile_histograms(&[], &[], 16, &cw, &fw);
         assert!(hists.is_empty());
         assert_eq!(cw.snapshot().atomics, 0);
     }
@@ -207,12 +269,12 @@ mod tests {
         let (cw, fw) = wc();
         let a = TileData::new(vec![3, 3, 9, 1], 2, 2);
         let b = TileData::new(vec![9, 2], 1, 2);
-        let first = per_tile_histograms(&[a.clone(), b.clone()], 16, &cw, &fw);
+        let first = per_tile_histograms(&[a.clone(), b.clone()], &[true, true], 16, &cw, &fw);
         assert_eq!(first[0].runs, vec![(1, 1), (3, 2), (9, 1)]);
         assert_eq!(first[1].runs, vec![(2, 1), (9, 1)]);
-        let narrow = per_tile_histograms(std::slice::from_ref(&a), 4, &cw, &fw);
+        let narrow = per_tile_histograms(std::slice::from_ref(&a), &[true], 4, &cw, &fw);
         assert_eq!(narrow[0].runs, vec![(1, 1), (3, 2)]);
-        let again = per_tile_histograms(std::slice::from_ref(&b), 16, &cw, &fw);
+        let again = per_tile_histograms(std::slice::from_ref(&b), &[true], 16, &cw, &fw);
         assert_eq!(again[0].runs, first[1].runs);
     }
 
@@ -222,7 +284,7 @@ mod tests {
         let values: Vec<u16> = (0..777).map(|i| ((i * 31) % 1200) as u16).collect();
         let tile = TileData::new(values.clone(), 21, 37);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), 1000, &cw, &fw)[0];
+        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 1000, &cw, &fw)[0];
         let expected_valid = values.iter().filter(|&&v| (v as usize) < 1000).count() as u64;
         assert_eq!(
             h.runs.iter().map(|&(_, c)| c as u64).sum::<u64>(),

@@ -6,21 +6,31 @@
 //! including the multi-ring sentinel handling). Cells that pass and hold an
 //! in-range value update the polygon histogram.
 //!
-//! The device work is priced as the kernel performs it: one ray test per
-//! cell, each walking all of the polygon's edges, so counted cost scales
-//! with `cells × polygon edges` and this stays the most expensive step of
-//! paper Table 2. The host takes a shorter route to the same answer. An
-//! edge's crossing with a cell row depends only on the row's center y, so
-//! each block computes the polygon's crossings once per cell row
-//! ([`FlatPolygons::row_crossings`]) and classifies the row's centers by
-//! the parity of the crossings to their right — exactly the toggles
-//! [`FlatPolygons::contains`] makes, so the histograms are bit-identical
-//! while host edge work falls by about the tile width.
+//! The device work is priced as the kernel performs it, tile by tile: one
+//! ray test per cell, each walking all of the polygon's edges, so counted
+//! cost scales with `cells × polygon edges` and this stays the most
+//! expensive step of paper Table 2. The host takes a shorter route to the
+//! same answer, after Raptor zonal statistics (Singla & Eldawy), which
+//! intersects each polygon with each raster row once. One block refines a
+//! **run**: adjacent pairs of one polygon in one tile row, tile column
+//! strictly increasing (the tiles a run skips are inside or outside). The
+//! block gathers once the polygon's edges that can reach the tile row's
+//! center rows ([`FlatBand`]); for each cell row it computes that row's
+//! crossings once, sorted, and classifies the row's centers across all of
+//! the run's tiles by the parity of the crossings to their right. Center
+//! x rises with the column, so one pointer sweeps the crossings left to
+//! right. These are exactly the toggles [`FlatPolygons::contains`] makes,
+//! so the histograms are bit-identical. On the 120-cpd catalog (112,728
+//! intersect pairs in 24,784 runs, 457 M counted edge tests) the host's
+//! edge work falls from 38.3 M edges scanned, one scan per pair and cell
+//! row, to 2.4 M: 0.70 M scanned to gather bands and 1.66 M straddle
+//! tests of band edges.
 //! [`crate::simt::pip_test_body`] keeps the per-cell Fig. 5 loop.
 
 use crate::hist::ZoneRows;
 use std::cell::RefCell;
-use zonal_geo::FlatPolygons;
+use std::ops::Range;
+use zonal_geo::{FlatBand, FlatPolygons};
 use zonal_gpusim::{exec, WorkCounter};
 use zonal_raster::{TileData, TileGrid};
 
@@ -51,17 +61,40 @@ impl RefineCounts {
     }
 }
 
+/// A thread's band edges and crossing list, reused across rows and blocks.
+#[derive(Default)]
+struct Scratch {
+    band: FlatBand,
+    crossings: Vec<f64>,
+}
+
 thread_local! {
-    /// A thread's crossing list, reused across rows and blocks.
-    static CROSSINGS: RefCell<Vec<f64>> = RefCell::default();
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Split `pairs` into maximal runs: adjacent pairs with one polygon, one
+/// tile row and a strictly increasing tile column.
+fn runs(pairs: &[(u32, u32, &TileData)], grid: &TileGrid) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    let mut prev = None;
+    for (i, &(pid, tid, _)) in pairs.iter().enumerate() {
+        let (tx, ty) = grid.tile_pos(tid as usize);
+        match (runs.last_mut(), prev) {
+            (Some(run), Some((p, y, x))) if p == pid && y == ty && x < tx => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+        prev = Some((pid, ty, tx));
+    }
+    runs
 }
 
 /// Refine a strip's intersect pairs.
 ///
-/// `pairs` yields `(pid, tile_id, tile_data)`; one block processes one pair
-/// (the paper groups by polygon; per-pair blocks are the same work units
-/// with finer scheduling granularity). `grid` supplies the world placement
-/// of tile cells; `zone_rows` must hold a row for every pair's polygon.
+/// `pairs` yields `(pid, tile_id, tile_data)` in any order; one block
+/// refines one run of them (see the module docs), so the pipeline's
+/// grouped order, sorted by polygon and tile id, makes the fewest blocks.
+/// `grid` supplies the world placement of tile cells; `zone_rows` must
+/// hold a row for every pair's polygon.
 pub fn refine_intersect(
     pairs: &[(u32, u32, &TileData)],
     grid: &TileGrid,
@@ -78,38 +111,56 @@ pub fn refine_intersect(
     let mut span = zonal_obs::span("step4: PIP refine boundary tiles");
     let gt = *grid.transform();
     let n_bins = zone_rows.n_bins();
-    let per_block = exec::launch_map(pairs.len(), |b| {
-        let (pid, tid, tile) = pairs[b];
+    let runs = runs(pairs, grid);
+    let per_block = exec::launch_map(runs.len(), |b| {
+        let run = &pairs[runs[b].clone()];
+        let (pid, first_tid, first_tile) = run[0];
         let k = pid as usize;
-        let (tx, ty) = grid.tile_pos(tid as usize);
-        let (row0, col0) = grid.tile_origin_cell(tx, ty);
-        let cells = (tile.rows * tile.cols) as u64;
-        // Counted as the Fig. 5 kernel does it: every cell walks every edge.
-        let mut counts = RefineCounts {
-            cells_tested: cells,
-            edge_tests: cells * flat.edge_count(k) as u64,
-            ..Default::default()
-        };
-        CROSSINGS.with(|c| {
-            let crossings = &mut *c.borrow_mut();
-            for dr in 0..tile.rows {
-                flat.row_crossings(k, gt.cell_center(row0 + dr, col0).y, crossings);
+        let (first_tx, ty) = grid.tile_pos(first_tid as usize);
+        let (row0, _) = grid.tile_origin_cell(first_tx, ty);
+        let rows = first_tile.rows;
+        let mut counts = RefineCounts::default();
+        for &(_, _, tile) in run {
+            debug_assert_eq!(tile.rows, rows, "a tile row's tiles share their rows");
+            // Counted as the Fig. 5 kernel does it: every cell walks every
+            // edge.
+            let cells = (tile.rows * tile.cols) as u64;
+            counts.cells_tested += cells;
+            counts.edge_tests += cells * flat.edge_count(k) as u64;
+        }
+        if rows == 0 {
+            return counts;
+        }
+        SCRATCH.with(|s| {
+            let Scratch { band, crossings } = &mut *s.borrow_mut();
+            let (y_first, y_last) = (
+                gt.cell_center(row0, 0).y,
+                gt.cell_center(row0 + rows - 1, 0).y,
+            );
+            band.fill(flat, k, y_first.min(y_last), y_first.max(y_last));
+            for dr in 0..rows {
+                band.row_crossings(gt.cell_center(row0 + dr, 0).y, crossings);
                 // A center is inside iff an odd number of crossings lie
                 // strictly to its right. Center x rises with the column
-                // (`sx > 0`), so `left`, the count of crossings at or left
-                // of the current center, only moves forward.
+                // (`sx > 0`) and the run's tiles rise with it, so `left`,
+                // the count of crossings at or left of the current center,
+                // only moves forward across the whole run.
                 let mut left = 0;
-                for dc in 0..tile.cols {
-                    let x = gt.cell_center(row0 + dr, col0 + dc).x;
-                    while left < crossings.len() && crossings[left] <= x {
-                        left += 1;
-                    }
-                    if (crossings.len() - left) % 2 == 1 {
-                        counts.cells_inside += 1;
-                        let v = tile.get(dr, dc) as usize;
-                        if v < n_bins {
-                            zone_rows.add(pid, v, 1);
-                            counts.cells_counted += 1;
+                for &(_, tid, tile) in run {
+                    let (tx, _) = grid.tile_pos(tid as usize);
+                    let (_, col0) = grid.tile_origin_cell(tx, ty);
+                    for dc in 0..tile.cols {
+                        let x = gt.cell_center(row0 + dr, col0 + dc).x;
+                        while left < crossings.len() && crossings[left] <= x {
+                            left += 1;
+                        }
+                        if (crossings.len() - left) % 2 == 1 {
+                            counts.cells_inside += 1;
+                            let v = tile.get(dr, dc) as usize;
+                            if v < n_bins {
+                                zone_rows.add(pid, v, 1);
+                                counts.cells_counted += 1;
+                            }
                         }
                     }
                 }
@@ -129,7 +180,8 @@ pub fn refine_intersect(
     cell_work.add_atomics(total.cells_counted);
     cell_work.add_launch();
     if traced {
-        exec::attach_work_args(&mut span, pairs.len(), &before, &cell_work.snapshot());
+        exec::attach_work_args(&mut span, runs.len(), &before, &cell_work.snapshot());
+        span.arg("pairs", pairs.len() as u64);
     }
     total
 }
@@ -327,6 +379,187 @@ mod tests {
         ] {
             assert_matches_oracle(&flat, &grid, 0, &tile);
         }
+    }
+
+    /// 23×8 unit cells in 4-cell tiles: 6×2 tiles, the last column of
+    /// tiles clipped to 3 cells. Center `(r, c)` sits at `(c + 0.5, r + 0.5)`.
+    fn run_grid() -> TileGrid {
+        TileGrid::new(8, 23, 4, GeoTransform::new(0.0, 0.0, 1.0, 1.0))
+    }
+
+    /// Tile `(tx, ty)` of [`run_grid`], with in-range values, a no-data
+    /// cell and an out-of-range value so inside and counted cells differ.
+    fn run_tile(grid: &TileGrid, tx: usize, ty: usize) -> (u32, TileData) {
+        let (rows, cols) = grid.tile_shape(tx, ty);
+        let values = (0..rows * cols)
+            .map(|i| match (i + tx) % 9 {
+                0 => NODATA,
+                1 => 99,
+                _ => ((i * 3 + tx + ty) % 8) as u16,
+            })
+            .collect();
+        (
+            grid.tile_id(tx, ty) as u32,
+            TileData::new(values, rows, cols),
+        )
+    }
+
+    fn ring_of(pts: &[(f64, f64)]) -> Ring {
+        Ring::new(
+            pts.iter()
+                .map(|&(x, y)| zonal_geo::Point::new(x, y))
+                .collect(),
+        )
+    }
+
+    /// Per-cell reference for a list of pairs: each zone's histogram (from
+    /// [`per_cell_oracle`]) and the counts the Fig. 5 kernel reports.
+    fn oracle_for(
+        flat: &FlatPolygons,
+        grid: &TileGrid,
+        pairs: &[(u32, u32, &TileData)],
+        n_bins: usize,
+    ) -> (Vec<Vec<u64>>, RefineCounts) {
+        let mut hists = vec![vec![0u64; n_bins]; flat.len()];
+        let mut counts = RefineCounts::default();
+        for &(pid, tid, tile) in pairs {
+            let (k, t) = (pid as usize, tid as usize);
+            let bins = per_cell_oracle(flat, k, grid, t, tile, n_bins);
+            for (h, b) in hists[k].iter_mut().zip(&bins) {
+                *h += b;
+            }
+            let (tx, ty) = grid.tile_pos(t);
+            let (row0, col0) = grid.tile_origin_cell(tx, ty);
+            let cells = (tile.rows * tile.cols) as u64;
+            let inside = (0..tile.rows * tile.cols)
+                .filter(|i| {
+                    let (dr, dc) = (i / tile.cols, i % tile.cols);
+                    flat.contains(k, grid.transform().cell_center(row0 + dr, col0 + dc))
+                })
+                .count() as u64;
+            counts.accumulate(&RefineCounts {
+                cells_tested: cells,
+                cells_inside: inside,
+                cells_counted: bins.iter().sum(),
+                edge_tests: cells * flat.edge_count(k) as u64,
+            });
+        }
+        (hists, counts)
+    }
+
+    /// Refine `pairs`, check them against the per-cell oracle and return
+    /// the histograms and counts.
+    fn refine_checked(
+        flat: &FlatPolygons,
+        grid: &TileGrid,
+        pairs: &[(u32, u32, &TileData)],
+    ) -> (Vec<Vec<u64>>, RefineCounts) {
+        let zone = ZoneRows::new(&vec![true; flat.len()], 8);
+        let c = refine_intersect(pairs, grid, flat, &zone, &WorkCounter::new());
+        let h = zone.into_histograms();
+        let got: Vec<Vec<u64>> = (0..flat.len()).map(|k| h.zone(k).to_vec()).collect();
+        assert_eq!((got.clone(), c), oracle_for(flat, grid, pairs, 8));
+        (got, c)
+    }
+
+    /// One polygon over tiles 1, 2, 4 and 5 of tile row 0 (tile 3, inside
+    /// or outside, is not a pair), the last clipped to 3 columns. Vertices
+    /// sit on the tile boundary x = 8 and on the center rows y = 1.5, 2.5.
+    fn run_polygon() -> Ring {
+        ring_of(&[
+            (5.2, 0.2),
+            (8.0, -1.0),
+            (13.3, 1.5),
+            (22.6, 0.7),
+            (21.0, 3.9),
+            (12.0, 3.2),
+            (8.0, 4.6),
+            (5.9, 2.5),
+        ])
+    }
+
+    #[test]
+    fn run_across_tiles_with_gap_and_clipped_tile_matches_per_cell_tests() {
+        let grid = run_grid();
+        assert_eq!(grid.tile_shape(5, 0), (4, 3));
+        let tiles: Vec<(u32, TileData)> = [1, 2, 4, 5]
+            .iter()
+            .map(|&tx| run_tile(&grid, tx, 0))
+            .collect();
+        let pairs: Vec<(u32, u32, &TileData)> = tiles.iter().map(|(t, d)| (0, *t, d)).collect();
+        assert_eq!(runs(&pairs, &grid), vec![0..4], "one block for the run");
+        let flat = flat_of(Polygon::from_ring(run_polygon()));
+        let (h, c) = refine_checked(&flat, &grid, &pairs);
+        assert!(
+            c.cells_inside > c.cells_counted && c.cells_counted > 0,
+            "{c:?}"
+        );
+        assert_eq!(c.cells_tested, 16 * 3 + 12);
+        assert!(h[0].iter().filter(|&&n| n > 0).count() > 4, "{h:?}");
+    }
+
+    #[test]
+    fn run_with_hole_spanning_two_tiles_matches_per_cell_tests() {
+        let grid = run_grid();
+        let tiles: Vec<(u32, TileData)> = [1, 2, 4, 5]
+            .iter()
+            .map(|&tx| run_tile(&grid, tx, 0))
+            .collect();
+        let pairs: Vec<(u32, u32, &TileData)> = tiles.iter().map(|(t, d)| (0, *t, d)).collect();
+        // The hole spans tiles 1 and 2 (x 4..8 and 8..12), with a vertex on
+        // the center row y = 1.5.
+        let hole = ring_of(&[(6.5, 1.5), (10.0, 0.8), (9.2, 3.0), (7.0, 2.6)]);
+        let flat = flat_of(Polygon::new(vec![run_polygon(), hole]));
+        let (_, with_hole) = refine_checked(&flat, &grid, &pairs);
+        let (_, without) =
+            refine_checked(&flat_of(Polygon::from_ring(run_polygon())), &grid, &pairs);
+        assert!(with_hole.cells_inside < without.cells_inside);
+    }
+
+    #[test]
+    fn runs_break_on_pid_tile_row_and_column_order() {
+        let grid = run_grid();
+        let tiles: Vec<(u32, TileData)> = [(1, 0), (2, 0), (4, 0), (5, 0), (3, 1)]
+            .iter()
+            .map(|&(tx, ty)| run_tile(&grid, tx, ty))
+            .collect();
+        let hole = ring_of(&[(6.5, 1.5), (10.0, 0.8), (9.2, 3.0), (7.0, 2.6)]);
+        let flat = FlatPolygons::from_polygons(&[
+            Polygon::new(vec![run_polygon(), hole]),
+            Polygon::from_ring(ring_of(&[
+                (4.5, -1.0),
+                (23.5, 2.5),
+                (14.0, 7.5),
+                (7.0, 6.5),
+            ])),
+        ]);
+        let pair = |pid: u32, i: usize| (pid, tiles[i].0, &tiles[i].1);
+        // The pipeline's grouped order: by polygon, then tile id. Polygon
+        // 1's tile in row 1 starts a new run even though the column rises.
+        let grouped: Vec<_> = (0..4)
+            .map(|i| pair(0, i))
+            .chain([0, 1, 4].map(|i| pair(1, i)))
+            .collect();
+        assert_eq!(runs(&grouped, &grid), vec![0..4, 4..6, 6..7]);
+        // Shuffled and interleaved: every change of polygon or tile row,
+        // and every column that does not rise, breaks a run (pairs 0 and 1
+        // still make one), and the answer does not change.
+        let shuffled = vec![
+            pair(0, 2),
+            pair(0, 3),
+            pair(1, 0),
+            pair(1, 4),
+            pair(1, 1),
+            pair(0, 1),
+            pair(0, 0),
+        ];
+        assert_eq!(
+            runs(&shuffled, &grid),
+            vec![0..2, 2..3, 3..4, 4..5, 5..6, 6..7]
+        );
+        let first = refine_checked(&flat, &grid, &grouped);
+        assert_eq!(refine_checked(&flat, &grid, &shuffled), first);
+        assert!(first.1.cells_counted > 0 && first.0[1].iter().sum::<u64>() > 0);
     }
 
     #[test]

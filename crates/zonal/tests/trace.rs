@@ -2,7 +2,8 @@
 //! must not perturb results (bit-identical histograms, counts, and work
 //! records), and the captured trace must contain the decode/compute
 //! lanes, per-strip and per-kernel spans, queue-depth samples, the PIP
-//! counter pair, and valid simulated-device lanes.
+//! counter pair, the per-strip cells histogram, and valid
+//! simulated-device lanes.
 //!
 //! This lives in its own integration-test binary (one `#[test]`) because
 //! the tracing session is process-global: unit tests running pipelines
@@ -95,6 +96,12 @@ fn tracing_is_nonperturbing_and_complete() {
         arg_sum("step4: PIP refine boundary tiles", "flops"),
         traced.timings.steps[4].cell_work.flops
     );
+    // Step 4 launches one block per run of a polygon's pairs in a tile
+    // row, so it refines every intersect pair in at most as many blocks.
+    let pairs = arg_sum("step4: PIP refine boundary tiles", "pairs");
+    assert_eq!(pairs, traced.counts.intersect_pairs);
+    assert!(pairs > 0);
+    assert!(arg_sum("step4: PIP refine boundary tiles", "blocks") <= pairs);
 
     // --- Queue-depth gauge sampled at sends and receives. ---
     let samples = spans_named("strip_queue_depth").count();
@@ -116,6 +123,21 @@ fn tracing_is_nonperturbing_and_complete() {
     assert_eq!(
         metric("pip_tests_performed"),
         MetricValue::Counter(traced.counts.pip_cells_tested)
+    );
+    assert_eq!(
+        metric("strip_cells"),
+        MetricValue::Histogram {
+            count: n_strips as u64,
+            sum: traced.counts.n_cells,
+            max: traced
+                .timings
+                .strips
+                .iter()
+                .map(|s| s.raw_bytes / 2)
+                .max()
+                .unwrap(),
+        },
+        "one per-strip cells sample per computed strip"
     );
     assert_eq!(
         metric("pip_tests_avoided"),
