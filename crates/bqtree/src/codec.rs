@@ -121,19 +121,37 @@ pub fn encode_tile(tile: &TileData) -> Bytes {
     Bytes::from(out)
 }
 
-/// Decode a tile previously produced by [`encode_tile`].
-pub fn decode_tile(mut data: &[u8]) -> TileData {
+/// The `(rows, cols)` header of an encoded tile, consumed from `data`.
+fn header(data: &mut &[u8]) -> (usize, usize) {
     assert!(data.len() >= 4, "truncated BQ-Tree tile header");
-    let rows = data.get_u16() as usize;
-    let cols = data.get_u16() as usize;
-    let side = Bitmap::side_for(rows, cols);
+    (data.get_u16() as usize, data.get_u16() as usize)
+}
+
+/// Decode a tile previously produced by [`encode_tile`].
+pub fn decode_tile(data: &[u8]) -> TileData {
+    let (rows, cols) = header(&mut &data[..]);
     let mut values = vec![0u16; rows * cols];
+    decode_tile_into(data, &mut values);
+    TileData::new(values, rows, cols)
+}
+
+/// Decode a tile previously produced by [`encode_tile`] into `values`,
+/// which must be all zero and hold exactly the header's `rows × cols`
+/// cells (the decoder ORs each plane's bits in).
+pub(crate) fn decode_tile_into(mut data: &[u8], values: &mut [u16]) {
+    let (rows, cols) = header(&mut data);
+    assert_eq!(
+        values.len(),
+        rows * cols,
+        "BQ-Tree tile header {rows}x{cols} does not match its buffer"
+    );
+    debug_assert!(values.iter().all(|&v| v == 0), "decode target not zeroed");
+    let side = Bitmap::side_for(rows, cols);
     let mut r = BitReader::new(data);
     for plane in 0..PLANES {
-        let mut cells = PlaneCells::new(&mut values, rows, cols, plane);
+        let mut cells = PlaneCells::new(values, rows, cols, plane);
         decode_region(&mut cells, &mut r, 0, 0, side);
     }
-    TileData::new(values, rows, cols)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Compressed raster storage: a [`TileSource`] that decodes on demand.
 
-use crate::codec::{decode_tile, encode_tile};
+use crate::codec::{decode_tile, decode_tile_into, encode_tile};
 use bytes::Bytes;
-use zonal_raster::{TileData, TileGrid, TileSource};
+use std::ops::Range;
+use zonal_raster::{TileData, TileGrid, TileSource, TileStrip};
 
 /// Aggregate compression bookkeeping (the §IV.B claim: 40 GB → 7.3 GB,
 /// ~18% of raw).
@@ -24,8 +25,8 @@ impl CompressionStats {
 }
 
 /// A BQ-Tree-compressed raster: one encoded buffer per tile of a
-/// [`TileGrid`]. Decoding happens in [`TileSource::tile`], which is exactly
-/// the paper's Step 0.
+/// [`TileGrid`]. Decoding happens in [`TileSource::strip`] (and
+/// [`TileSource::tile`]), which is exactly the paper's Step 0.
 pub struct BqRaster {
     grid: TileGrid,
     tiles: Vec<Bytes>,
@@ -94,6 +95,16 @@ impl TileSource for BqRaster {
 
     fn tile(&self, tx: usize, ty: usize) -> TileData {
         decode_tile(self.encoded_tile(tx, ty))
+    }
+
+    /// Each tile decoded into its segment of one zeroed strip buffer.
+    fn strip(&self, tile_rows: Range<usize>) -> TileStrip {
+        let first = tile_rows.start * self.grid.tiles_x();
+        let mut strip = TileStrip::zeroed(&self.grid, tile_rows);
+        for (b, blob) in self.tiles[first..first + strip.len()].iter().enumerate() {
+            decode_tile_into(blob, strip.tile_mut(b));
+        }
+        strip
     }
 
     fn tile_encoded_bytes(&self, tx: usize, ty: usize) -> usize {

@@ -32,6 +32,7 @@ use crate::schedule::{reassignment_makespan, simulate, Policy};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zonal_core::pipeline::Zones;
 use zonal_core::{PipelineConfig, ZonalResult, ZoneHistograms};
@@ -171,7 +172,6 @@ pub struct ClusterRun {
 const REQUEST_BYTES: u64 = 16;
 
 /// A rank's merged result over every batch it ran.
-#[derive(Clone)]
 struct Share {
     report: NodeReport,
     hists: ZoneHistograms,
@@ -217,8 +217,9 @@ enum ToMaster {
     /// The released sender's merged result, the sender-side
     /// [`ZoneHistograms::checksum`] the master re-verifies to detect
     /// in-flight corruption, and any injected interconnect delay
-    /// (simulated seconds).
-    Finished(Share, u64, f64),
+    /// (simulated seconds). The worker keeps its own handle on the share
+    /// for retransmission, so a transmission never copies it.
+    Finished(Arc<Share>, u64, f64),
 }
 
 /// Master → worker messages.
@@ -434,11 +435,12 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
         return;
     }
     let checksum = share.hists.checksum();
+    let share = Arc::new(share);
     let send = |share, delay_secs| {
         let _ = comm.try_send(0, ToMaster::Finished(share, checksum, delay_secs));
     };
     match injector.take_msg_action(rank) {
-        MsgAction::Deliver => send(share.clone(), 0.0),
+        MsgAction::Deliver => send(Arc::clone(&share), 0.0),
         MsgAction::Drop => {
             // First transmission lost in the interconnect.
             zonal_obs::instant("message dropped", &[("rank", rank as u64)]);
@@ -448,26 +450,24 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
                 "message delayed",
                 &[("rank", rank as u64), ("delay_ms", (secs * 1e3) as u64)],
             );
-            send(share.clone(), secs);
+            send(Arc::clone(&share), secs);
         }
         MsgAction::Corrupt => {
             zonal_obs::instant("message corrupted", &[("rank", rank as u64)]);
             // Payload mangled in flight; the checksum still describes the
             // original, so the master will catch the mismatch.
-            let hists = corrupted(&share.hists);
-            send(
-                Share {
-                    hists,
-                    ..share.clone()
-                },
-                0.0,
-            );
+            let mangled = Share {
+                report: share.report.clone(),
+                hists: corrupted(&share.hists),
+                batch_secs: share.batch_secs.clone(),
+            };
+            send(Arc::new(mangled), 0.0);
         }
     }
     // Hold the clean result until the master acknowledges it.
     loop {
         match rx.recv() {
-            Ok(ToWorker::Resend) => send(share.clone(), 0.0),
+            Ok(ToWorker::Resend) => send(Arc::clone(&share), 0.0),
             Ok(ToWorker::Ack) | Err(_) => return,
             Ok(_) => {}
         }
@@ -552,7 +552,7 @@ impl<'a> Master<'a> {
             }
         }
         self.hists.merge(&own.hists);
-        self.record(0, own);
+        self.record(0, &own);
         Ok(())
     }
 
@@ -600,17 +600,18 @@ impl<'a> Master<'a> {
         let t_combine = Instant::now();
         self.hists.merge(&share.hists);
         self.combine_secs += t_combine.elapsed().as_secs_f64();
-        self.record(from, share);
+        self.record(from, &share);
         self.send(from, ToWorker::Ack);
         Ok(())
     }
 
     /// File `rank`'s merged result, pairing its batch costs with the
     /// batches it was given.
-    fn record(&mut self, rank: usize, share: Share) {
+    fn record(&mut self, rank: usize, share: &Share) {
         let given = std::mem::take(&mut self.given[rank]);
-        self.batches.extend(given.into_iter().zip(share.batch_secs));
-        self.reports[rank] = Some(share.report);
+        self.batches
+            .extend(given.into_iter().zip(share.batch_secs.iter().copied()));
+        self.reports[rank] = Some(share.report.clone());
         self.pending[rank] = false;
     }
 

@@ -2,7 +2,7 @@
 
 use crate::geotransform::GeoTransform;
 use crate::tile::TileGrid;
-use crate::{TileData, TileSource};
+use crate::{TileData, TileSource, TileStrip};
 use zonal_geo::Mbr;
 
 /// A dense row-major raster of `u16` cells (the SRTM DEM cell type).
@@ -175,6 +175,17 @@ impl TileSource for RasterTiles<'_> {
         let (row0, col0) = self.grid.tile_origin_cell(tx, ty);
         let (rows, cols) = self.grid.tile_shape(tx, ty);
         self.raster.block(row0, col0, rows, cols)
+    }
+
+    /// Each raster row of the strip pasted into the tiles it crosses.
+    fn strip(&self, tile_rows: std::ops::Range<usize>) -> TileStrip {
+        let row0 = tile_rows.start * self.grid.tile_cells();
+        let mut strip = TileStrip::zeroed(self.grid, tile_rows);
+        let rows = self.raster.data[row0 * self.raster.cols..].chunks_exact(self.raster.cols);
+        for (dr, row) in rows.take(strip.cell_rows()).enumerate() {
+            strip.paste_row(dr, row);
+        }
+        strip
     }
 }
 

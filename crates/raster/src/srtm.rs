@@ -14,12 +14,14 @@
 //!   and is the oracle for the block generator below.
 //! * [`SyntheticSrtm`] — a [`TileSource`] that materializes tiles of that
 //!   terrain on demand, so experiments never hold a full raster in memory.
-//!   Tiles and whole rasters come from one block generator that fills the
-//!   block row by row: each noise octave's lattice coordinates are computed
-//!   once per column and once per row, and its lattice corners are hashed
-//!   once per lattice cell rather than once per raster cell. The terrain
-//!   octaves span many cells, so a small tile hashes each of them only a
-//!   few times. Every cell goes through the same floating-point
+//!   Tiles, strips of tile rows and whole rasters come from one block
+//!   generator that fills the block row by row: each noise octave's
+//!   lattice coordinates are computed once per column and once per row,
+//!   and its lattice corners are hashed once per lattice cell rather than
+//!   once per raster cell. The terrain octaves span many cells, so a small
+//!   tile hashes each of them only a few times, and a strip, generated as
+//!   one block across the raster's width, shares those hashes between
+//!   neighbouring tiles. Every cell goes through the same floating-point
 //!   expressions, in the same order, as [`elevation`], so the output is
 //!   bit-identical to it.
 //! * [`SrtmCatalog`] — a reconstruction of the paper's Table 1: six
@@ -34,9 +36,10 @@
 use crate::geotransform::GeoTransform;
 use crate::partition::Partition;
 use crate::tile::TileGrid;
-use crate::{TileData, TileSource};
+use crate::{TileData, TileSource, TileStrip};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::Range;
 use zonal_geo::Mbr;
 
 /// No-data marker (ocean / voids). SRTM uses -32768 in i16; we store cells
@@ -358,19 +361,34 @@ impl SyntheticSrtm {
         )
     }
 
-    /// The `rows × cols` block of cells from `(row0, col0)`, row-major:
-    /// [`elevation`] at every cell center, generated row by row.
+    /// The `rows × cols` block of cells from `(row0, col0)`, row-major.
+    fn block(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Vec<u16> {
+        let mut out = Vec::with_capacity(rows * cols);
+        self.block_rows(row0, col0, rows, cols, |_, row| out.extend_from_slice(row));
+        out
+    }
+
+    /// Generate the `rows × cols` block of cells from `(row0, col0)` and
+    /// hand each of its rows, in order, to `emit` with its index in the
+    /// block: [`elevation`] at every cell center, generated row by row.
     ///
     /// Each octave's lattice column and fade are computed once per block
     /// column, its lattice row, fade and row hashes once per block row, and
     /// its four corners once per lattice cell a row passes through. Every
     /// per-cell value goes through the same functions, in the same order,
     /// as [`elevation`], so the cells are bit-identical to it.
-    fn block(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Vec<u16> {
+    fn block_rows(
+        &self,
+        row0: usize,
+        col0: usize,
+        rows: usize,
+        cols: usize,
+        mut emit: impl FnMut(usize, &[u16]),
+    ) {
         let gt = self.grid.transform();
         let (octaves, norms) = octave_table(self.seed);
         let mut lattice = [Lattice::default(); OCTAVES];
-        let mut out = Vec::with_capacity(rows * cols);
+        let mut row = Vec::with_capacity(cols);
         COLUMNS.with_borrow_mut(|columns| {
             columns.clear();
             for c in col0..col0 + cols {
@@ -382,6 +400,7 @@ impl SyntheticSrtm {
                 for (l, o) in lattice.iter_mut().zip(&octaves) {
                     l.set_row(axis((y * o.scale) * o.freq));
                 }
+                row.clear();
                 for xs in columns.chunks_exact(OCTAVES) {
                     // Sum each field's octaves in order, as `fbm` does.
                     let mut k = 0;
@@ -395,15 +414,15 @@ impl SyntheticSrtm {
                         sum / norms[f]
                     };
                     let continent = field(0);
-                    out.push(if continent < OCEAN_LEVEL {
+                    row.push(if continent < OCEAN_LEVEL {
                         NODATA
                     } else {
                         land(continent, field(1), field(2), field(3))
                     });
                 }
+                emit(r - row0, &row);
             }
         });
-        out
     }
 }
 
@@ -415,6 +434,17 @@ impl TileSource for SyntheticSrtm {
     fn tile(&self, tx: usize, ty: usize) -> TileData {
         let t = self.grid.tile(tx, ty);
         TileData::new(self.block(t.row0, t.col0, t.rows, t.cols), t.rows, t.cols)
+    }
+
+    /// One block over the strip's cell rows and the whole raster width,
+    /// each row pasted into the tiles it crosses: a lattice corner shared
+    /// by neighbouring tiles is hashed once, not once per tile.
+    fn strip(&self, tile_rows: Range<usize>) -> TileStrip {
+        let row0 = tile_rows.start * self.grid.tile_cells();
+        let mut strip = TileStrip::zeroed(&self.grid, tile_rows);
+        let (rows, cols) = (strip.cell_rows(), self.grid.raster_cols());
+        self.block_rows(row0, 0, rows, cols, |dr, row| strip.paste_row(dr, row));
+        strip
     }
 }
 

@@ -1,5 +1,6 @@
 //! Terrain synthesis: pinned digests of the full catalog and a property
-//! test of the tile generator against the per-point `elevation` oracle.
+//! test of the tile and strip generators against the per-point
+//! `elevation` oracle.
 //!
 //! The synthetic SRTM terrain is every workload's input, so its bits are
 //! pinned: the BQ-Tree bitstream goldens, the Table 2 counted rows and the
@@ -7,7 +8,7 @@
 
 use proptest::prelude::*;
 use zonal_raster::srtm::{elevation, SrtmCatalog, SyntheticSrtm};
-use zonal_raster::{GeoTransform, TileGrid, TileSource};
+use zonal_raster::{GeoTransform, Tile, TileGrid, TileSource, TileView};
 
 /// Terrain seed of the pinned catalog (the benchmark's terrain).
 const GOLDEN_SEED: u64 = 20140519;
@@ -26,25 +27,54 @@ fn fnv1a(cells: &[u16]) -> u64 {
         })
 }
 
+/// Paste tile `t`'s cells into the row-major raster buffer `cells`.
+fn paste(cells: &mut [u16], cols: usize, t: Tile, tile: TileView) {
+    assert_eq!((tile.rows, tile.cols), (t.rows, t.cols));
+    for (dr, row) in tile.values.chunks_exact(t.cols).enumerate() {
+        let at = (t.row0 + dr) * cols + t.col0;
+        cells[at..at + t.cols].copy_from_slice(row);
+    }
+}
+
 /// Every tile of `src`, pasted into one row-major buffer.
 fn assemble_tiles(src: &SyntheticSrtm) -> Vec<u16> {
     let grid = src.grid();
     let cols = grid.raster_cols();
     let mut cells = vec![0u16; grid.raster_rows() * cols];
     for t in grid.iter() {
-        let tile = src.tile(t.tx, t.ty);
-        assert_eq!((tile.rows, tile.cols), (t.rows, t.cols));
-        for (dr, row) in tile.values.chunks_exact(t.cols).enumerate() {
-            let at = (t.row0 + dr) * cols + t.col0;
-            cells[at..at + t.cols].copy_from_slice(row);
+        paste(&mut cells, cols, t, src.tile(t.tx, t.ty).view());
+    }
+    cells
+}
+
+/// Every tile of `src`, generated in strips of `strip_rows` tile rows (the
+/// last strip takes what is left) and pasted into one row-major buffer.
+fn assemble_strips(src: &SyntheticSrtm, strip_rows: usize) -> Vec<u16> {
+    let grid = src.grid();
+    let cols = grid.raster_cols();
+    let mut cells = vec![0u16; grid.raster_rows() * cols];
+    for ty0 in (0..grid.tiles_y()).step_by(strip_rows) {
+        let strip = src.strip(ty0..(ty0 + strip_rows).min(grid.tiles_y()));
+        assert_eq!(
+            strip.len(),
+            strip_rows.min(grid.tiles_y() - ty0) * grid.tiles_x()
+        );
+        for (b, tile) in strip.tiles().enumerate() {
+            let t = grid.tile(b % grid.tiles_x(), ty0 + b / grid.tiles_x());
+            paste(&mut cells, cols, t, tile);
         }
     }
     cells
 }
 
+/// Tile rows per strip in the digest check: the pipeline's default, which
+/// leaves a partial last strip on most catalog partitions.
+const STRIP_ROWS: usize = 4;
+
 /// FNV-1a of every partition of the catalog at `cpd`, row-major. Each
-/// partition is synthesized twice, whole through `to_raster()` and tile by
-/// tile through `tile()`, and both must agree.
+/// partition is synthesized three times, whole through `to_raster()`, tile
+/// by tile through `tile()` and in strips of [`STRIP_ROWS`] tile rows
+/// through `strip()`, and all three must agree.
 fn catalog_digests(cpd: u32) -> Vec<u64> {
     SrtmCatalog::new(cpd)
         .partitions()
@@ -61,6 +91,14 @@ fn catalog_digests(cpd: u32) -> Vec<u64> {
                 part.sub_row,
                 part.sub_col
             );
+            assert_eq!(
+                fnv1a(&assemble_strips(&src, STRIP_ROWS)),
+                digest,
+                "{} ({}, {}): strips disagree with to_raster()",
+                part.raster_name,
+                part.sub_row,
+                part.sub_col
+            );
             digest
         })
         .collect()
@@ -72,13 +110,13 @@ fn catalog_terrain_golden_20cpd() {
 }
 
 #[test]
-#[ignore = "synthesizes 5.6 M cells twice; run in release"]
+#[ignore = "synthesizes 5.6 M cells three times; run in release"]
 fn catalog_terrain_golden_60cpd() {
     assert_eq!(catalog_digests(60), GOLDEN_60CPD);
 }
 
 #[test]
-#[ignore = "synthesizes 22.4 M cells twice; run in release"]
+#[ignore = "synthesizes 22.4 M cells three times; run in release"]
 fn catalog_terrain_golden_120cpd() {
     assert_eq!(catalog_digests(120), GOLDEN_120CPD);
 }
@@ -221,7 +259,8 @@ proptest! {
     /// `tile()` equals per-cell `elevation()` at every cell center, for
     /// arbitrary seeds, origins (negative and lattice-aligned included),
     /// cell sizes from 1/3600° to 1° and tile sizes from 1 to 40 cells with
-    /// ragged edge tiles; `to_raster()` equals the tiles.
+    /// ragged edge tiles; `to_raster()` equals the tiles, and so do strips
+    /// of 1 to 4 tile rows, the last one partial.
     #[test]
     fn tiles_match_elevation_oracle(
         seed in any::<u64>(),
@@ -229,6 +268,7 @@ proptest! {
         ys in (0u8..4, -90i64..90, 0.0f64..1.0),
         log_cpd in 0.0f64..1.0,
         shape in (1usize..60, 1usize..60, 1usize..41),
+        strip_rows in 1usize..5,
     ) {
         let (rows, cols, tile_cells) = shape;
         let (kx, wx, fx) = xs;
@@ -255,6 +295,8 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(src.to_raster().data(), &assemble_tiles(&src)[..]);
+        let whole = src.to_raster();
+        prop_assert_eq!(whole.data(), &assemble_tiles(&src)[..]);
+        prop_assert_eq!(whole.data(), &assemble_strips(&src, strip_rows)[..]);
     }
 }

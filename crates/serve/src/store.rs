@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, RwLock};
 use zonal_core::pipeline::Zones;
-use zonal_raster::{TileData, TileGrid, TileSource};
+use zonal_raster::{TileData, TileGrid, TileSource, TileStrip};
 
 /// A type-erased, shareable tile source: the store holds partitions of
 /// any [`TileSource`] implementation behind one handle type.
@@ -38,6 +38,10 @@ impl TileSource for PartitionSource {
 
     fn tile(&self, tx: usize, ty: usize) -> TileData {
         self.0.tile(tx, ty)
+    }
+
+    fn strip(&self, tile_rows: std::ops::Range<usize>) -> TileStrip {
+        self.0.strip(tile_rows)
     }
 
     fn tile_encoded_bytes(&self, tx: usize, ty: usize) -> usize {

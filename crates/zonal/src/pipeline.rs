@@ -1,9 +1,13 @@
 //! The four-step pipeline, orchestrated over streaming tile strips.
 //!
 //! A partition's tiles are processed in bands of `strip_rows` tile rows:
-//! each strip is decoded (Step 0), histogrammed per tile (Step 1), its
-//! inside pairs aggregated (Step 3) and its boundary pairs refined
-//! (Step 4), after which the strip's tile data and histograms are dropped.
+//! each strip is produced by one [`TileSource::strip`] call (Step 0: the
+//! BQ-Tree source decodes every tile of the band into one contiguous
+//! buffer, the synthetic source generates the band as one block), then
+//! histogrammed per tile (Step 1), its inside pairs aggregated (Step 3)
+//! and its boundary pairs refined (Step 4), both reading the strip's
+//! per-tile [`TileView`]s, after which the strip's buffer and histograms
+//! are dropped.
 //! Step 2 runs once per partition up front — it only needs geometry.
 //! Peak memory is therefore bounded by the strip size regardless of raster
 //! size, the same property that lets the paper stream a 40 GB raster
@@ -29,8 +33,8 @@ use crate::timing::{PipelineCounts, PipelineTimings, StripWork};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use zonal_geo::{FlatPolygons, PolygonLayer};
-use zonal_gpusim::{exec, KernelWork, WorkCounter};
-use zonal_raster::TileSource;
+use zonal_gpusim::{KernelWork, WorkCounter};
+use zonal_raster::{TileSource, TileStrip, TileView};
 
 /// Device arithmetic per cell for Step 0 BQ-Tree decode (bitplane scatter
 /// and tree walk, amortized): the constant the cost model prices the
@@ -101,7 +105,7 @@ impl ZonalResult {
 struct DecodedStrip {
     strip: usize,
     first_tid: usize,
-    tiles: Vec<zonal_raster::TileData>,
+    tiles: TileStrip,
     encoded_bytes: u64,
     cells: u64,
     decode_wall: f64,
@@ -196,13 +200,14 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         let strip_tiles = (ty1 - ty0) * tiles_x;
         let mut span = zonal_obs::span("step0: decode strip");
         let t0 = Instant::now();
-        let tiles = exec::launch_map(strip_tiles, |b| {
-            let tid = first_tid + b;
-            let (tx, ty) = grid.tile_pos(tid);
-            source.tile(tx, ty)
-        });
+        let tiles = source.strip(ty0..ty1);
         let decode_wall = t0.elapsed().as_secs_f64();
-        let cells: u64 = tiles.iter().map(|t| t.len() as u64).sum();
+        assert_eq!(
+            tiles.len(),
+            strip_tiles,
+            "a strip holds its tile rows' tiles"
+        );
+        let cells = tiles.n_cells() as u64;
         let encoded_bytes: u64 = (0..strip_tiles)
             .map(|b| {
                 let (tx, ty) = grid.tile_pos(first_tid + b);
@@ -259,11 +264,12 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         // ----- Step 1: per-tile histograms --------------------------------
         // Only the tiles of inside pairs have their runs read (Step 3).
         let t1 = Instant::now();
-        let mut wanted = vec![false; d.tiles.len()];
+        let views: Vec<TileView> = d.tiles.tiles().collect();
+        let mut wanted = vec![false; views.len()];
         for &(_, tid) in &inside_by_strip[d.strip] {
             wanted[tid as usize - d.first_tid] = true;
         }
-        let tile_hists = per_tile_histograms(&d.tiles, &wanted, n_bins, &s1_cell, &s1_fixed);
+        let tile_hists = per_tile_histograms(&views, &wanted, n_bins, &s1_cell, &s1_fixed);
         timings.steps[1].wall_secs += t1.elapsed().as_secs_f64();
         counts.n_valid_cells += tile_hists.iter().map(|h| h.valid_cells).sum::<u64>();
         counts.n_nodata_cells += tile_hists.iter().map(|h| h.skipped_cells).sum::<u64>();
@@ -279,9 +285,9 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
 
         // ----- Step 4: refine boundary tiles -------------------------------
         let t4 = Instant::now();
-        let ref_pairs: Vec<(u32, u32, &zonal_raster::TileData)> = intersect_by_strip[d.strip]
+        let ref_pairs: Vec<(u32, u32, TileView)> = intersect_by_strip[d.strip]
             .iter()
-            .map(|&(pid, tid)| (pid, tid, &d.tiles[tid as usize - d.first_tid]))
+            .map(|&(pid, tid)| (pid, tid, views[tid as usize - d.first_tid]))
             .collect();
         let rc = refine_intersect(&ref_pairs, grid, &zones.flat, &zone_rows, &s4_cell);
         timings.steps[4].wall_secs += t4.elapsed().as_secs_f64();
@@ -510,6 +516,54 @@ mod tests {
             let r = run_partition(&cfg, &zones, &src);
             assert_eq!(r.hists, base.hists, "strip_rows={strip_rows}");
         }
+    }
+
+    /// A source that keeps the default `TileSource::strip`, built from
+    /// `tile()`.
+    struct TilesOnly<'a, S>(&'a S);
+
+    impl<S: TileSource> TileSource for TilesOnly<'_, S> {
+        fn grid(&self) -> &TileGrid {
+            self.0.grid()
+        }
+
+        fn tile(&self, tx: usize, ty: usize) -> zonal_raster::TileData {
+            self.0.tile(tx, ty)
+        }
+
+        fn tile_encoded_bytes(&self, tx: usize, ty: usize) -> usize {
+            self.0.tile_encoded_bytes(tx, ty)
+        }
+    }
+
+    /// `src`, whose `strip` is its own, against its tiles stacked by the
+    /// default `strip`, at several strip sizes.
+    fn assert_default_strip_matches(zones: &Zones, src: &impl TileSource) {
+        for strip_rows in [1usize, 2, 3, 100] {
+            let mut cfg = PipelineConfig::test().with_bins(5000);
+            cfg.strip_rows = strip_rows;
+            let want = run_partition(&cfg, zones, &TilesOnly(src));
+            let got = run_partition(&cfg, zones, src);
+            assert!(want.hists.total() > 0);
+            assert_eq!(got.hists, want.hists, "strip_rows={strip_rows}");
+            assert_eq!(got.counts, want.counts, "strip_rows={strip_rows}");
+            assert_eq!(
+                got.timings.strips, want.timings.strips,
+                "strip_rows={strip_rows}"
+            );
+        }
+    }
+
+    #[test]
+    fn default_strip_matches_overriding_sources() {
+        // A ragged 37×45 grid of 8-cell tiles: partial last tile row and
+        // column, and a partial last strip at 2 and 3 tile rows.
+        let (zones, _, _) = simple_setup();
+        let gt = GeoTransform::new(0.0, 0.0, 0.1, 0.1);
+        let grid = TileGrid::new(37, 45, 8, gt);
+        let raster = Raster::from_fn(37, 45, gt, |r, c| ((r * 13 + c * 7) % 300) as u16);
+        assert_default_strip_matches(&zones, &raster.tile_source(&grid));
+        assert_default_strip_matches(&zones, &zonal_raster::SyntheticSrtm::new(grid, 7));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use zonal_gpusim::exec;
 use zonal_gpusim::WorkCounter;
-use zonal_raster::TileData;
+use zonal_raster::TileView;
 
 /// Per-tile histogram plus its cell accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +79,8 @@ fn tile_runs(values: &[u16], n_bins: usize) -> Vec<(u16, u32)> {
     })
 }
 
-/// Compute per-tile histograms for a batch of decoded tiles (one strip).
+/// Compute per-tile histograms for a batch of decoded tiles (one strip's
+/// [`zonal_raster::TileStrip::tiles`]).
 ///
 /// `wanted[b]` says whether tile `b`'s runs are read; an unwanted tile
 /// gets empty `runs` but exact `valid_cells` and `skipped_cells`.
@@ -88,7 +89,7 @@ fn tile_runs(values: &[u16], n_bins: usize) -> Vec<(u16, u32)> {
 /// bins is tile-proportional ("fixed" under resolution scaling), reading
 /// cells and the one atomic per valid cell are cell-proportional.
 pub fn per_tile_histograms(
-    tiles: &[TileData],
+    tiles: &[TileView<'_>],
     wanted: &[bool],
     n_bins: usize,
     cell_work: &WorkCounter,
@@ -105,7 +106,7 @@ pub fn per_tile_histograms(
     let hists = exec::launch_map(tiles.len(), |b| {
         let tile = &tiles[b];
         let (runs, valid) = if wanted[b] {
-            let runs = tile_runs(&tile.values, n_bins);
+            let runs = tile_runs(tile.values, n_bins);
             let valid = runs.iter().map(|&(_, c)| c as u64).sum();
             (runs, valid)
         } else {
@@ -145,7 +146,19 @@ pub fn per_tile_histograms(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zonal_raster::NODATA;
+    use zonal_raster::{TileData, NODATA};
+
+    /// Histograms of owned tiles.
+    fn hists_of(
+        tiles: &[TileData],
+        wanted: &[bool],
+        n_bins: usize,
+        cw: &WorkCounter,
+        fw: &WorkCounter,
+    ) -> Vec<TileHistogram> {
+        let views: Vec<TileView> = tiles.iter().map(TileData::view).collect();
+        per_tile_histograms(&views, wanted, n_bins, cw, fw)
+    }
 
     fn wc() -> (WorkCounter, WorkCounter) {
         (WorkCounter::new(), WorkCounter::new())
@@ -155,7 +168,7 @@ mod tests {
     fn counts_every_value() {
         let tile = TileData::new(vec![0, 1, 1, 2, 2, 2], 2, 3);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 4, &cw, &fw)[0];
+        let h = &per_tile_histograms(&[tile.view()], &[true], 4, &cw, &fw)[0];
         assert_eq!(h.runs, vec![(0, 1), (1, 2), (2, 3)]);
         assert_eq!(h.valid_cells, 6);
         assert_eq!(h.skipped_cells, 0);
@@ -165,7 +178,7 @@ mod tests {
     fn nodata_and_out_of_range_skipped() {
         let tile = TileData::new(vec![0, NODATA, 100, 5], 2, 2);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 10, &cw, &fw)[0];
+        let h = &per_tile_histograms(&[tile.view()], &[true], 10, &cw, &fw)[0];
         assert_eq!(
             h.runs,
             vec![(0, 1), (5, 1)],
@@ -179,7 +192,7 @@ mod tests {
     fn batch_of_tiles() {
         let tiles: Vec<TileData> = (0..20).map(|k| TileData::filled(k as u16, 4, 4)).collect();
         let (cw, fw) = wc();
-        let hists = per_tile_histograms(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
+        let hists = hists_of(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
         assert_eq!(hists.len(), 20);
         for (k, h) in hists.iter().enumerate() {
             if k < 16 {
@@ -200,7 +213,7 @@ mod tests {
     fn work_accounting() {
         let tiles = vec![TileData::filled(1, 10, 10), TileData::filled(999, 10, 10)];
         let (cw, fw) = wc();
-        let _ = per_tile_histograms(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
+        let _ = hists_of(&tiles, &vec![true; tiles.len()], 16, &cw, &fw);
         let cell = cw.snapshot();
         let fixed = fw.snapshot();
         assert_eq!(cell.coalesced_bytes, 200 * 2, "two bytes per cell");
@@ -229,9 +242,9 @@ mod tests {
             .collect();
         let wanted: Vec<bool> = (0..12).map(|k| k % 3 != 1).collect();
         let (cw, fw) = wc();
-        let full = per_tile_histograms(&tiles, &[true; 12], 32, &cw, &fw);
+        let full = hists_of(&tiles, &[true; 12], 32, &cw, &fw);
         let (mcw, mfw) = wc();
-        let masked = per_tile_histograms(&tiles, &wanted, 32, &mcw, &mfw);
+        let masked = hists_of(&tiles, &wanted, 32, &mcw, &mfw);
         for (k, (f, m)) in full.iter().zip(&masked).enumerate() {
             assert_eq!(m.valid_cells, f.valid_cells, "tile {k}");
             assert_eq!(m.skipped_cells, f.skipped_cells, "tile {k}");
@@ -269,12 +282,12 @@ mod tests {
         let (cw, fw) = wc();
         let a = TileData::new(vec![3, 3, 9, 1], 2, 2);
         let b = TileData::new(vec![9, 2], 1, 2);
-        let first = per_tile_histograms(&[a.clone(), b.clone()], &[true, true], 16, &cw, &fw);
+        let first = per_tile_histograms(&[a.view(), b.view()], &[true, true], 16, &cw, &fw);
         assert_eq!(first[0].runs, vec![(1, 1), (3, 2), (9, 1)]);
         assert_eq!(first[1].runs, vec![(2, 1), (9, 1)]);
-        let narrow = per_tile_histograms(std::slice::from_ref(&a), &[true], 4, &cw, &fw);
+        let narrow = per_tile_histograms(&[a.view()], &[true], 4, &cw, &fw);
         assert_eq!(narrow[0].runs, vec![(1, 1), (3, 2)]);
-        let again = per_tile_histograms(std::slice::from_ref(&b), &[true], 16, &cw, &fw);
+        let again = per_tile_histograms(&[b.view()], &[true], 16, &cw, &fw);
         assert_eq!(again[0].runs, first[1].runs);
     }
 
@@ -284,7 +297,7 @@ mod tests {
         let values: Vec<u16> = (0..777).map(|i| ((i * 31) % 1200) as u16).collect();
         let tile = TileData::new(values.clone(), 21, 37);
         let (cw, fw) = wc();
-        let h = &per_tile_histograms(std::slice::from_ref(&tile), &[true], 1000, &cw, &fw)[0];
+        let h = &per_tile_histograms(&[tile.view()], &[true], 1000, &cw, &fw)[0];
         let expected_valid = values.iter().filter(|&&v| (v as usize) < 1000).count() as u64;
         assert_eq!(
             h.runs.iter().map(|&(_, c)| c as u64).sum::<u64>(),

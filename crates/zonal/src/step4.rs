@@ -32,7 +32,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use zonal_geo::{FlatBand, FlatPolygons};
 use zonal_gpusim::{exec, WorkCounter};
-use zonal_raster::{TileData, TileGrid};
+use zonal_raster::{TileGrid, TileView};
 
 /// Estimated arithmetic per edge test in the Fig. 5 inner loop (compares,
 /// one divide, one multiply): the constant the cost model prices Step 4
@@ -74,7 +74,7 @@ thread_local! {
 
 /// Split `pairs` into maximal runs: adjacent pairs with one polygon, one
 /// tile row and a strictly increasing tile column.
-fn runs(pairs: &[(u32, u32, &TileData)], grid: &TileGrid) -> Vec<Range<usize>> {
+fn runs(pairs: &[(u32, u32, TileView<'_>)], grid: &TileGrid) -> Vec<Range<usize>> {
     let mut runs: Vec<Range<usize>> = Vec::new();
     let mut prev = None;
     for (i, &(pid, tid, _)) in pairs.iter().enumerate() {
@@ -90,13 +90,13 @@ fn runs(pairs: &[(u32, u32, &TileData)], grid: &TileGrid) -> Vec<Range<usize>> {
 
 /// Refine a strip's intersect pairs.
 ///
-/// `pairs` yields `(pid, tile_id, tile_data)` in any order; one block
+/// `pairs` yields `(pid, tile_id, tile)` in any order; one block
 /// refines one run of them (see the module docs), so the pipeline's
 /// grouped order, sorted by polygon and tile id, makes the fewest blocks.
 /// `grid` supplies the world placement of tile cells; `zone_rows` must
 /// hold a row for every pair's polygon.
 pub fn refine_intersect(
-    pairs: &[(u32, u32, &TileData)],
+    pairs: &[(u32, u32, TileView<'_>)],
     grid: &TileGrid,
     flat: &FlatPolygons,
     zone_rows: &ZoneRows,
@@ -190,7 +190,7 @@ pub fn refine_intersect(
 mod tests {
     use super::*;
     use zonal_geo::{Polygon, Ring};
-    use zonal_raster::{GeoTransform, NODATA};
+    use zonal_raster::{GeoTransform, TileData, NODATA};
 
     /// One 10×10-cell tile covering [0,1]², cell size 0.1.
     fn one_tile_grid() -> TileGrid {
@@ -209,7 +209,7 @@ mod tests {
         let tile = TileData::filled(3, 10, 10);
         let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
+        let c = refine_intersect(&[(0, 0, tile.view())], &grid, &flat, &zone, &wc);
         assert_eq!(c.cells_tested, 100);
         assert_eq!(c.cells_inside, 50);
         assert_eq!(c.cells_counted, 50);
@@ -226,7 +226,7 @@ mod tests {
         let tile = TileData::new(values, 10, 10);
         let zone = ZoneRows::new(&[true], 8);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
+        let c = refine_intersect(&[(0, 0, tile.view())], &grid, &flat, &zone, &wc);
         assert_eq!(c.cells_inside, 100);
         assert_eq!(c.cells_counted, 98);
         assert_eq!(zone.into_histograms().get(0, 1), 98);
@@ -242,7 +242,7 @@ mod tests {
         let tile = TileData::filled(0, 10, 10);
         let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
+        let c = refine_intersect(&[(0, 0, tile.view())], &grid, &flat, &zone, &wc);
         // Centers are at 0.05, 0.15, ..., 0.95. Under the half-open rule the
         // hole owns centers with both coords in [0.25, 0.75): that's
         // {0.25, 0.35, 0.45, 0.55, 0.65} per axis => 5×5 = 25 cells excluded.
@@ -262,7 +262,13 @@ mod tests {
         let tile = TileData::filled(2, 10, 10);
         let zone = ZoneRows::new(&[true, true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[(0, 0, &tile), (1, 0, &tile)], &grid, &flat, &zone, &wc);
+        let c = refine_intersect(
+            &[(0, 0, tile.view()), (1, 0, tile.view())],
+            &grid,
+            &flat,
+            &zone,
+            &wc,
+        );
         let h = zone.into_histograms();
         assert_eq!(h.get(0, 2), 50, "zone 0 gets the left half");
         assert_eq!(h.get(1, 2), 50, "zone 1 gets the right half");
@@ -276,7 +282,7 @@ mod tests {
         let tile = TileData::filled(0, 10, 10);
         let zone = ZoneRows::new(&[true], 4);
         let wc = WorkCounter::new();
-        let c = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &wc);
+        let c = refine_intersect(&[(0, 0, tile.view())], &grid, &flat, &zone, &wc);
         assert_eq!(c.edge_tests, 100 * flat.edge_count(0) as u64);
         let w = wc.snapshot();
         assert_eq!(w.flops, c.edge_tests * FLOPS_PER_EDGE_TEST + 100 * 4);
@@ -290,7 +296,7 @@ mod tests {
         pid: usize,
         grid: &TileGrid,
         tid: usize,
-        tile: &TileData,
+        tile: TileView,
         n_bins: usize,
     ) -> Vec<u64> {
         let (tx, ty) = grid.tile_pos(tid);
@@ -312,13 +318,13 @@ mod tests {
     fn assert_matches_oracle(flat: &FlatPolygons, grid: &TileGrid, tid: usize, tile: &TileData) {
         let zone = ZoneRows::new(&[true], 8);
         let c = refine_intersect(
-            &[(0, tid as u32, tile)],
+            &[(0, tid as u32, tile.view())],
             grid,
             flat,
             &zone,
             &WorkCounter::new(),
         );
-        let expected = per_cell_oracle(flat, 0, grid, tid, tile, 8);
+        let expected = per_cell_oracle(flat, 0, grid, tid, tile.view(), 8);
         assert_eq!(zone.into_histograms().zone(0), &expected[..]);
         assert_eq!(c.cells_counted, expected.iter().sum::<u64>());
         assert_eq!(c.cells_tested, (tile.rows * tile.cols) as u64);
@@ -341,7 +347,7 @@ mod tests {
         assert_matches_oracle(&flat, &grid, tid, &tile);
         let zone = ZoneRows::new(&[true], 8);
         let c = refine_intersect(
-            &[(0, tid as u32, &tile)],
+            &[(0, tid as u32, tile.view())],
             &grid,
             &flat,
             &zone,
@@ -417,7 +423,7 @@ mod tests {
     fn oracle_for(
         flat: &FlatPolygons,
         grid: &TileGrid,
-        pairs: &[(u32, u32, &TileData)],
+        pairs: &[(u32, u32, TileView)],
         n_bins: usize,
     ) -> (Vec<Vec<u64>>, RefineCounts) {
         let mut hists = vec![vec![0u64; n_bins]; flat.len()];
@@ -452,7 +458,7 @@ mod tests {
     fn refine_checked(
         flat: &FlatPolygons,
         grid: &TileGrid,
-        pairs: &[(u32, u32, &TileData)],
+        pairs: &[(u32, u32, TileView)],
     ) -> (Vec<Vec<u64>>, RefineCounts) {
         let zone = ZoneRows::new(&vec![true; flat.len()], 8);
         let c = refine_intersect(pairs, grid, flat, &zone, &WorkCounter::new());
@@ -486,7 +492,8 @@ mod tests {
             .iter()
             .map(|&tx| run_tile(&grid, tx, 0))
             .collect();
-        let pairs: Vec<(u32, u32, &TileData)> = tiles.iter().map(|(t, d)| (0, *t, d)).collect();
+        let pairs: Vec<(u32, u32, TileView)> =
+            tiles.iter().map(|(t, d)| (0, *t, d.view())).collect();
         assert_eq!(runs(&pairs, &grid), vec![0..4], "one block for the run");
         let flat = flat_of(Polygon::from_ring(run_polygon()));
         let (h, c) = refine_checked(&flat, &grid, &pairs);
@@ -505,7 +512,8 @@ mod tests {
             .iter()
             .map(|&tx| run_tile(&grid, tx, 0))
             .collect();
-        let pairs: Vec<(u32, u32, &TileData)> = tiles.iter().map(|(t, d)| (0, *t, d)).collect();
+        let pairs: Vec<(u32, u32, TileView)> =
+            tiles.iter().map(|(t, d)| (0, *t, d.view())).collect();
         // The hole spans tiles 1 and 2 (x 4..8 and 8..12), with a vertex on
         // the center row y = 1.5.
         let hole = ring_of(&[(6.5, 1.5), (10.0, 0.8), (9.2, 3.0), (7.0, 2.6)]);
@@ -533,7 +541,7 @@ mod tests {
                 (7.0, 6.5),
             ])),
         ]);
-        let pair = |pid: u32, i: usize| (pid, tiles[i].0, &tiles[i].1);
+        let pair = |pid: u32, i: usize| (pid, tiles[i].0, tiles[i].1.view());
         // The pipeline's grouped order: by polygon, then tile id. Polygon
         // 1's tile in row 1 starts a new run even though the column rises.
         let grouped: Vec<_> = (0..4)

@@ -160,7 +160,13 @@ fn fig5_kernel_matches_host_step4() {
     );
     let tile = TileData::new(raw, tile_cells, tile_cells);
     let zone = ZoneRows::new(&[true], hist_size);
-    let counts = refine_intersect(&[(0, 0, &tile)], &grid, &flat, &zone, &WorkCounter::new());
+    let counts = refine_intersect(
+        &[(0, 0, tile.view())],
+        &grid,
+        &flat,
+        &zone,
+        &WorkCounter::new(),
+    );
     assert!(counts.cells_counted > 0, "fixture must have inside cells");
     assert!(counts.cells_inside < 144, "fixture must have outside cells");
     assert_eq!(zone.into_histograms().zone(0), &kernel[..]);
