@@ -236,14 +236,14 @@ impl FaultInjector {
     }
 }
 
-/// A result payload as [`MsgAction::Corrupt`] delivers it: the low bit of
-/// zone 0's bin 0 flipped. A payload with no stored rows (a rank that
-/// owned no partitions) gains a row, which the checksum covers just as it
-/// covers counts, so the fault is caught on every payload.
+/// A result payload as [`MsgAction::Corrupt`] delivers it: one count
+/// too many in zone 0's bin 0. The checksum covers every count, also of a
+/// payload with no stored rows (a rank that owned no partitions), so the
+/// fault is caught on every payload.
 pub(crate) fn corrupted(hists: &ZoneHistograms) -> ZoneHistograms {
     let mut out = hists.clone();
     if out.n_zones() > 0 && out.n_bins() > 0 {
-        out.zone_mut(0)[0] ^= 0x1;
+        out.add(0, 0, 1);
     }
     out
 }

@@ -562,7 +562,8 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
         let merged = merged.expect("store bands are never empty");
         for (z, row) in rows.iter_mut() {
             if row.is_none() {
-                let fresh = Arc::new(merged.hists.zone(*z as usize).to_vec());
+                let window = merged.hists.window(*z as usize);
+                let fresh = Arc::new(window.to_dense(plan.n_bins));
                 shared.cache.rows.insert(
                     ZoneKey {
                         version,

@@ -65,12 +65,13 @@ fn zone_histogram_pip(
     bins
 }
 
-/// Store per-polygon histograms, one row per polygon with any count.
+/// Store per-polygon histograms: each polygon's counted bins, so its row
+/// spans its first to its last count.
 fn collect_rows(zones: Vec<Vec<u64>>, n_bins: usize) -> ZoneHistograms {
     let mut out = ZoneHistograms::new(zones.len(), n_bins);
     for (pid, bins) in zones.iter().enumerate() {
-        if bins.iter().any(|&c| c > 0) {
-            out.zone_mut(pid).copy_from_slice(bins);
+        for (bin, &c) in bins.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            out.add(pid, bin, c);
         }
     }
     out

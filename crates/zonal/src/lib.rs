@@ -41,7 +41,7 @@ pub mod step4;
 pub mod timing;
 
 pub use config::PipelineConfig;
-pub use hist::{ZoneHistograms, ZoneRows};
+pub use hist::{BinWindow, ZoneHistograms, ZoneRows};
 pub use pairing::{pair_tiles, GroupedPairs, PairTable};
 pub use pipeline::{run_partition, run_partitions, ZonalResult};
 pub use stats::{zonal_statistics, ZonalStats};

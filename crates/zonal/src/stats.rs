@@ -7,7 +7,7 @@
 //! histograms exist, every one of those statistics (plus any quantile)
 //! falls out in `O(bins)` per zone with no further raster access.
 
-use crate::hist::ZoneHistograms;
+use crate::hist::{BinWindow, ZoneHistograms};
 use serde::{Deserialize, Serialize};
 
 /// One zone's summary statistics (a row of the traditional zonal-stats
@@ -31,6 +31,15 @@ pub struct ZonalStats {
 
 /// Compute [`ZonalStats`] from one histogram.
 pub fn stats_of_histogram(bins: &[u64]) -> ZonalStats {
+    stats_of_window(BinWindow {
+        lo: 0,
+        counts: bins,
+    })
+}
+
+/// Compute [`ZonalStats`] from one zone's bin window.
+pub fn stats_of_window(w: BinWindow) -> ZonalStats {
+    let (lo, bins) = (w.lo, w.counts);
     let count: u64 = bins.iter().sum();
     if count == 0 {
         return ZonalStats {
@@ -46,7 +55,7 @@ pub fn stats_of_histogram(bins: &[u64]) -> ZonalStats {
     let mut max = None;
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
-    for (v, &c) in bins.iter().enumerate() {
+    for (v, &c) in (lo..).zip(bins) {
         if c == 0 {
             continue;
         }
@@ -66,7 +75,7 @@ pub fn stats_of_histogram(bins: &[u64]) -> ZonalStats {
     let target = count.div_ceil(2);
     let mut acc = 0u64;
     let mut median = None;
-    for (v, &c) in bins.iter().enumerate() {
+    for (v, &c) in (lo..).zip(bins) {
         acc += c;
         if acc >= target {
             median = Some(v as u16);
@@ -87,7 +96,7 @@ pub fn stats_of_histogram(bins: &[u64]) -> ZonalStats {
 /// The full zonal-statistics table: one row per zone.
 pub fn zonal_statistics(hists: &ZoneHistograms) -> Vec<ZonalStats> {
     (0..hists.n_zones())
-        .map(|z| stats_of_histogram(hists.zone(z)))
+        .map(|z| stats_of_window(hists.window(z)))
         .collect()
 }
 

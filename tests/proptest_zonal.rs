@@ -1,13 +1,15 @@
 //! Property tests for the full pipeline: random zone layers and random
-//! rasters, pinned against the scanline and per-cell PIP references.
+//! rasters, pinned against the scanline and per-cell PIP references; and
+//! for the windowed histogram type against a dense model.
 
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use zonal_histo::geo::{Point, Polygon, PolygonLayer, Ring};
 use zonal_histo::gpusim::DeviceSpec;
 use zonal_histo::raster::{GeoTransform, Raster, TileGrid};
 use zonal_histo::zonal::pipeline::{run_partition, Zones};
-use zonal_histo::zonal::stats::stats_of_histogram;
-use zonal_histo::zonal::{baseline, PipelineConfig};
+use zonal_histo::zonal::stats::{stats_of_histogram, stats_of_window};
+use zonal_histo::zonal::{baseline, PipelineConfig, ZoneHistograms};
 
 /// Random layer of disjoint-ish circles and rectangles inside [0,8]×[0,6].
 /// Overlap is allowed — zonal histogramming is defined per zone, so zones
@@ -157,6 +159,122 @@ proptest! {
             prop_assert!((s.std_dev - var.sqrt()).abs() < 1e-9);
             let lower_median = values[(values.len() - 1) / 2];
             prop_assert_eq!(s.median, Some(lower_median as u16));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random `add`, `zone_mut` and `merge` sequences on two histograms,
+    /// checked against a dense `n_zones × n_bins` model. Operation kinds:
+    /// 0 adds `count` (0 stores a zero window), 1 writes `count` through
+    /// `zone_mut` (a full-width row), 2 stores a zero row through
+    /// `zone_mut`, 3 merges the other histogram in, and 4 merges a window
+    /// of `count + 1` bins from `bin` whose counts run `bin % 3` (zeros
+    /// inside and at the ends). Zones no operation reaches stay absent.
+    #[test]
+    fn windowed_histograms_match_dense_model(
+        n_zones in 1usize..6,
+        n_bins in 1usize..40,
+        ops in prop::collection::vec((0usize..5, 0usize..2, 0usize..64, 0usize..64, 0u64..4), 0..48),
+        pick in (0usize..64, 0usize..64),
+    ) {
+        let mut hists = [
+            ZoneHistograms::new(n_zones, n_bins),
+            ZoneHistograms::new(n_zones, n_bins),
+        ];
+        let mut dense = [vec![vec![0u64; n_bins]; n_zones], vec![vec![0u64; n_bins]; n_zones]];
+        for op in ops {
+            let (kind, side, z, bin, count) = op;
+            let (z, bin) = (z % n_zones, bin % n_bins);
+            match kind {
+                0 => {
+                    hists[side].add(z, bin, count);
+                    dense[side][z][bin] += count;
+                }
+                1 => {
+                    hists[side].zone_mut(z)[bin] = count;
+                    dense[side][z][bin] = count;
+                }
+                2 => {
+                    hists[side].zone_mut(z);
+                }
+                3 => {
+                    let other = hists[1 - side].clone();
+                    hists[side].merge(&other);
+                    let other = dense[1 - side].clone();
+                    for (row, add) in dense[side].iter_mut().zip(other) {
+                        for (a, b) in row.iter_mut().zip(add) {
+                            *a += b;
+                        }
+                    }
+                }
+                _ => {
+                    let mut window = ZoneHistograms::new(n_zones, n_bins);
+                    let end = (bin + count as usize + 1).min(n_bins);
+                    for (b, d) in (bin..end).zip(&mut dense[side][z][bin..end]) {
+                        window.add(z, b, b as u64 % 3);
+                        *d += b as u64 % 3;
+                    }
+                    hists[side].merge(&window);
+                }
+            }
+            // The dense row `zone` lends out follows every write.
+            prop_assert_eq!(hists[side].zone(z), &dense[side][z][..]);
+        }
+
+        for (h, m) in hists.iter().zip(&dense) {
+            for (z, row) in m.iter().enumerate() {
+                prop_assert_eq!(h.zone(z), &row[..]);
+                prop_assert_eq!(h.window(z).to_dense(n_bins), row.clone());
+                prop_assert_eq!(h.zone_total(z), row.iter().sum::<u64>());
+                for (bin, &c) in row.iter().enumerate() {
+                    prop_assert_eq!(h.get(z, bin), c);
+                }
+                prop_assert_eq!(stats_of_window(h.window(z)), stats_of_histogram(row));
+            }
+            prop_assert_eq!(h.total(), m.iter().flatten().sum::<u64>());
+
+            // The same values stored as counted bins only, and as one
+            // full-width row per zone.
+            let mut counted = ZoneHistograms::new(n_zones, n_bins);
+            let mut full = ZoneHistograms::new(n_zones, n_bins);
+            for (z, row) in m.iter().enumerate() {
+                full.zone_mut(z).copy_from_slice(row);
+                for (bin, &c) in row.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                    counted.add(z, bin, c);
+                }
+            }
+            for other in [&counted, &full] {
+                prop_assert_eq!(h, other);
+                prop_assert_eq!(other, h);
+                prop_assert_eq!(h.checksum(), other.checksum());
+            }
+
+            let json = serde_json::to_string(h).expect("serialize");
+            let back: ZoneHistograms = serde_json::from_str(&json).expect("parse");
+            prop_assert_eq!(&back, h);
+            prop_assert_eq!(h, &back);
+            prop_assert_eq!(back.checksum(), h.checksum());
+            prop_assert_eq!(back.n_rows(), h.n_rows());
+
+            // Changing any one count changes the value and the checksum.
+            let (z, bin) = (pick.0 % n_zones, pick.1 % n_bins);
+            let mut changed = h.clone();
+            changed.zone_mut(z)[bin] = m[z][bin] ^ 1;
+            prop_assert_ne!(&changed, h);
+            prop_assert_ne!(h, &changed);
+            prop_assert_ne!(changed.checksum(), h.checksum());
+
+            prop_assert!(catch_unwind(AssertUnwindSafe(|| h.get(0, n_bins))).is_err());
+        }
+
+        let same = dense[0] == dense[1];
+        prop_assert_eq!(hists[0] == hists[1], same);
+        prop_assert_eq!(hists[1] == hists[0], same);
+        if same {
+            prop_assert_eq!(hists[0].checksum(), hists[1].checksum());
         }
     }
 }
