@@ -37,6 +37,7 @@ const ABSENT: u32 = u32::MAX;
 pub struct BinWindow<'a> {
     /// First bin of the window.
     pub lo: usize,
+    /// Counts of bins `lo..lo + counts.len()`.
     pub counts: &'a [u64],
 }
 
@@ -80,15 +81,9 @@ impl<'a> BinWindow<'a> {
     }
 }
 
-/// Whether two windows hold the same values.
-fn same_values(a: BinWindow, b: BinWindow) -> bool {
-    let (a, b) = (a.trimmed(), b.trimmed());
-    a.lo == b.lo && a.counts == b.counts
-}
-
 /// A stored row: a bin window plus the dense copy [`ZoneHistograms::zone`]
 /// lends out, built on first call and dropped by every write.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Row {
     lo: usize,
     counts: Vec<u64>,
@@ -175,11 +170,21 @@ impl ZoneHistograms {
         }
     }
 
+    /// Store a row for zone `z`, which has none.
+    fn push_row(&mut self, z: usize, lo: usize, counts: Vec<u64>) {
+        debug_assert_eq!(self.row_of[z], ABSENT, "zone {z} already has a row");
+        self.row_of[z] = self.rows.len() as u32;
+        self.rows.push(Row {
+            lo,
+            counts,
+            dense: OnceLock::new(),
+        });
+    }
+
     /// Zone `z`'s row for writing, stored empty first if it had none.
     fn row_mut(&mut self, z: usize) -> &mut Row {
         if self.row_of[z] == ABSENT {
-            self.row_of[z] = self.rows.len() as u32;
-            self.rows.push(Row::default());
+            self.push_row(z, 0, Vec::new());
         }
         &mut self.rows[self.row_of[z] as usize]
     }
@@ -301,7 +306,10 @@ impl PartialEq for ZoneHistograms {
     fn eq(&self, other: &Self) -> bool {
         self.n_zones == other.n_zones
             && self.n_bins == other.n_bins
-            && (0..self.n_zones).all(|z| same_values(self.window(z), other.window(z)))
+            && (0..self.n_zones).all(|z| {
+                let (a, b) = (self.window(z).trimmed(), other.window(z).trimmed());
+                a.lo == b.lo && a.counts == b.counts
+            })
     }
 }
 
@@ -354,12 +362,7 @@ impl Deserialize for ZoneHistograms {
                     out.n_bins
                 )));
             }
-            out.row_of[z] = out.rows.len() as u32;
-            out.rows.push(Row {
-                lo,
-                counts,
-                dense: OnceLock::new(),
-            });
+            out.push_row(z, lo, counts);
         }
         Ok(out)
     }
@@ -438,12 +441,7 @@ impl ZoneRows {
             }
             .trimmed();
             if !w.counts.is_empty() {
-                out.row_of[z] = out.rows.len() as u32;
-                out.rows.push(Row {
-                    lo: w.lo,
-                    counts: w.counts.to_vec(),
-                    dense: OnceLock::new(),
-                });
+                out.push_row(z, w.lo, w.counts.to_vec());
             }
         }
         out
