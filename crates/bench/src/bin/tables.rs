@@ -897,7 +897,7 @@ fn serve_experiment(cpd: u32, seed: u64, json: Option<&str>) {
         closed.latency.max_ms
     );
     println!(
-        "  cache: row hit rate {:.1}%, {} partition passes + {} memo hits; mean batch {:.2}; shed rate {:.1}%",
+        "  plan cache: row hit rate {:.1}%, {} partition passes run + {} saved; mean batch {:.2}; shed rate {:.1}%",
         100.0 * closed_stats.row_cache_hit_rate(),
         closed_stats.pipeline_passes,
         closed_stats.partition_cache_hits,
@@ -906,9 +906,9 @@ fn serve_experiment(cpd: u32, seed: u64, json: Option<&str>) {
     );
     assert_eq!(closed.errors, 0, "closed loop must not error");
 
-    // Phase 2 — open loop against a tiny queue, every query a distinct
-    // bin spec so nothing memoizes: offered load far beyond capacity
-    // must shed, not queue unboundedly.
+    // Phase 2 — open loop against a tiny queue over 12 bin specs, each
+    // cold on its first query: offered load far beyond capacity must
+    // shed, not queue unboundedly.
     let mut overload_cfg = ServeConfig::new(cfg).without_batch_window();
     overload_cfg.queue_capacity = 4;
     let service = ZonalService::start(Arc::clone(&store), overload_cfg);

@@ -19,7 +19,7 @@
 //! costs one thread-local check per access (nothing at all without the
 //! `sanitize` feature).
 
-use crate::cost::{KernelWork, WorkCounter};
+use crate::cost::KernelWork;
 
 /// Launch `n_blocks` independent blocks; `kernel(block_idx)` runs once per
 /// block. Kernels must not depend on the block order.
@@ -42,9 +42,9 @@ where
 
 /// Attach a [`KernelWork`] delta (`after - before`) to an open span —
 /// blocks, flops, coalesced/scattered bytes, atomics, sub-launches; six
-/// args exactly fill [`zonal_obs::MAX_ARGS`]. Used by the traced launch
-/// variants below and by instrumented kernels whose work accounting
-/// happens outside the launch itself (e.g. the pipeline's step kernels).
+/// args exactly fill [`zonal_obs::MAX_ARGS`]. Used by instrumented
+/// kernels whose work accounting happens outside the launch itself (the
+/// pipeline's step kernels).
 pub fn attach_work_args(
     span: &mut zonal_obs::SpanGuard,
     n_blocks: usize,
@@ -63,76 +63,6 @@ pub fn attach_work_args(
     );
     span.arg("atomics", after.atomics.saturating_sub(before.atomics));
     span.arg("launches", after.launches.saturating_sub(before.launches));
-}
-
-/// [`launch`] wrapped in a tracing span carrying the [`WorkCounter`]
-/// delta the launch produced (flops, coalesced/scattered bytes, atomics,
-/// sub-launches). With tracing disabled this is exactly [`launch`] plus
-/// one relaxed atomic load; `counter` is only snapshotted when enabled,
-/// and the kernel itself is never perturbed either way.
-pub fn launch_traced<F>(name: &'static str, n_blocks: usize, counter: &WorkCounter, kernel: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if !zonal_obs::enabled() {
-        launch(n_blocks, kernel);
-        return;
-    }
-    let before = counter.snapshot();
-    let mut span = zonal_obs::span(name);
-    launch(n_blocks, kernel);
-    attach_work_args(&mut span, n_blocks, &before, &counter.snapshot());
-}
-
-/// [`launch_map`] wrapped in a tracing span; see [`launch_traced`].
-pub fn launch_map_traced<T, F>(
-    name: &'static str,
-    n_blocks: usize,
-    counter: &WorkCounter,
-    kernel: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if !zonal_obs::enabled() {
-        return launch_map(n_blocks, kernel);
-    }
-    let before = counter.snapshot();
-    let mut span = zonal_obs::span(name);
-    let out = launch_map(n_blocks, kernel);
-    attach_work_args(&mut span, n_blocks, &before, &counter.snapshot());
-    out
-}
-
-/// A 2-D grid shape, mirroring CUDA's `gridDim` for kernels that the paper
-/// writes with `int idx = blockIdx.y * gridDim.x + blockIdx.x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Grid2 {
-    pub x: usize,
-    pub y: usize,
-}
-
-impl Grid2 {
-    pub fn new(x: usize, y: usize) -> Self {
-        Grid2 { x, y }
-    }
-
-    pub fn n_blocks(&self) -> usize {
-        self.x * self.y
-    }
-
-    /// Linear block id from 2-D block position.
-    #[inline]
-    pub fn linear(&self, bx: usize, by: usize) -> usize {
-        by * self.x + bx
-    }
-
-    /// Inverse of [`Grid2::linear`].
-    #[inline]
-    pub fn pos(&self, idx: usize) -> (usize, usize) {
-        (idx % self.x, idx / self.x)
-    }
 }
 
 /// The CUDA strided-loop pattern
@@ -176,49 +106,6 @@ mod tests {
         launch(0, |_| panic!("no blocks should run"));
         let out: Vec<u32> = launch_map(0, |_| 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn traced_launch_records_work_delta() {
-        let counter = WorkCounter::new();
-        counter.add_flops(1000); // pre-existing work must not leak into the span
-        let session = zonal_obs::start(256);
-        launch_traced("k", 4, &counter, |_b| {
-            counter.add_flops(10);
-            counter.add_atomics(2);
-        });
-        let out = launch_map_traced("km", 3, &counter, |b| b as u64);
-        assert_eq!(out, vec![0, 1, 2]);
-        let trace = session.finish();
-
-        let ev = trace.events.iter().find(|e| e.name == "k").unwrap();
-        let get = |k: &str| ev.args().iter().find(|(n, _)| *n == k).unwrap().1;
-        assert_eq!(get("blocks"), 4);
-        assert_eq!(get("flops"), 40);
-        assert_eq!(get("atomics"), 8);
-        assert!(trace.events.iter().any(|e| e.name == "km"));
-    }
-
-    #[test]
-    fn traced_launch_untraced_is_plain_launch() {
-        // No session: still runs every block, records nothing.
-        let counter = WorkCounter::new();
-        let hits = AtomicUsize::new(0);
-        launch_traced("k", 100, &counter, |_b| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn grid2_linearization_roundtrip() {
-        let g = Grid2::new(7, 5);
-        assert_eq!(g.n_blocks(), 35);
-        for idx in 0..g.n_blocks() {
-            let (bx, by) = g.pos(idx);
-            assert_eq!(g.linear(bx, by), idx);
-            assert!(bx < g.x && by < g.y);
-        }
     }
 
     #[test]

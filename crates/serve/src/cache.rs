@@ -1,252 +1,187 @@
-//! Result caching: a sharded LRU of per-zone histogram rows plus
-//! memoized per-partition pipeline intermediates.
+//! Result caching: one LRU of merged answers, one entry per plan.
 //!
-//! Both caches key on the store **version**, so a raster update
-//! invalidates every prior entry by construction — stale entries are
-//! unreachable and simply age out of the LRU. Cached rows are `Arc`s of
-//! the exact vectors the pipeline produced, so a cached answer is
+//! A cold batch runs `run_partitions` once for its plan and caches the
+//! merged [`ZoneHistograms`] — every zone's row at the plan's bin count.
+//! Any later batch of that plan, whatever zones it asks for, reads its
+//! rows from the entry; one that arrives while the pass is still running
+//! waits for it instead of running its own. The key embeds the store
+//! **version**, so a raster update invalidates every prior entry by
+//! construction: stale entries are unreachable and simply age out of
+//! the LRU. The cache
+//! holds exactly what the pipeline produced, so a cached answer is
 //! bit-identical to the uncached one (asserted by the equivalence
 //! tests; the cache never recomputes, rounds, or re-encodes).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use zonal_core::ZonalResult;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
+use zonal_core::ZoneHistograms;
 
 use crate::query::PlanKey;
 
-/// Key of one zone's cached histogram row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ZoneKey {
-    pub version: u64,
-    pub plan: PlanKey,
-    pub zone: u32,
+/// A small LRU map behind one lock. It evicts its least-recently-used
+/// entry by stamp scan: capacities are a handful of plans, so the
+/// O(capacity) scan is cheaper than maintaining an intrusive list.
+pub struct Lru<K, V> {
+    capacity: usize,
+    inner: Mutex<Inner<K, V>>,
 }
 
-/// Key of one partition's memoized pipeline result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartitionKey {
-    pub version: u64,
-    pub plan: PlanKey,
-    pub partition: usize,
-}
-
-/// A sharded LRU map. Shards bound lock contention (requests hash to
-/// different shards); each shard evicts its least-recently-used entry
-/// by stamp scan — capacities are small (hundreds), so the O(shard)
-/// eviction scan is cheaper than maintaining an intrusive list.
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-struct Shard<K, V> {
+struct Inner<K, V> {
     map: HashMap<K, (u64, V)>,
     clock: u64,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    /// A cache holding at most `capacity` entries across `n_shards`
-    /// shards. `capacity = 0` disables the cache (every get misses,
-    /// every insert is dropped) — the cache-off configuration of the
-    /// equivalence tests.
-    pub fn new(capacity: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
-        ShardedLru {
-            shards: (0..n_shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        clock: 0,
-                    })
-                })
-                .collect(),
-            per_shard: capacity.div_ceil(n_shards),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    /// A cache holding at most `capacity` entries. `capacity = 0`
+    /// disables the cache (every lookup misses and keeps nothing) — the
+    /// cache-off configuration of the equivalence tests.
+    pub fn new(capacity: usize) -> Self {
+        Lru {
+            capacity,
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                clock: 0,
+            }),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Look up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
-        if self.per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+    /// The value of `key`, refreshing its recency; on a miss, insert
+    /// `make()` (evicting the least-recently-used entry when at
+    /// capacity) and return it. At capacity 0 nothing is kept, so every
+    /// call returns a fresh `make()`.
+    pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> V {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let stamp = inner.clock;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            entry.0 = stamp;
+            return entry.1.clone();
         }
-        let mut shard = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
-        shard.clock += 1;
-        let stamp = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.0 = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.1.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let value = make();
+        if self.capacity == 0 {
+            return value;
         }
-    }
-
-    /// Insert (or refresh) `key`, evicting the shard's least-recently
-    /// used entry when at capacity.
-    pub fn insert(&self, key: K, value: V) {
-        if self.per_shard == 0 {
-            return;
-        }
-        let mut shard = self.shard(&key).lock().unwrap_or_else(|p| p.into_inner());
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            if let Some(oldest) = shard
+        if inner.map.len() >= self.capacity {
+            if let Some(oldest) = inner
                 .map
                 .iter()
                 .min_by_key(|(_, (s, _))| *s)
                 .map(|(k, _)| k.clone())
             {
-                shard.map.remove(&oldest);
+                inner.map.remove(&oldest);
             }
         }
-        shard.map.insert(key, (stamp, value));
+        inner.map.insert(key, (stamp, value.clone()));
+        value
     }
 
-    /// Whether `key` is resident, without touching recency or the
-    /// hit/miss counters (used by admission estimates, which must not
-    /// skew the reported cache hit rate).
+    /// Whether `key` is resident, without touching recency (used by
+    /// admission estimates, which must not reorder the LRU).
     pub fn contains(&self, key: &K) -> bool {
-        if self.per_shard == 0 {
-            return false;
-        }
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .map
-            .contains_key(key)
+        self.lock().map.contains_key(key)
     }
 
-    /// Entries currently resident (sums shard sizes; advisory only).
+    /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
-            .sum()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Lifetime hit/miss counts (monotonic, across all shards).
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
 }
 
-/// The serving caches: zone rows for request fan-out, partition results
-/// for shared pipeline work.
-pub struct ServeCache {
-    /// (version, plan, zone) → that zone's merged histogram row.
-    pub rows: ShardedLru<ZoneKey, Arc<Vec<u64>>>,
-    /// (version, plan, partition) → the partition's full pipeline
-    /// result, so later batches (and colder zones) skip the decode and
-    /// compute pass entirely.
-    pub partitions: ShardedLru<PartitionKey, Arc<ZonalResult>>,
-}
+/// One plan's merged `run_partitions` histograms, filled once by the
+/// first batch that misses; batches of the plan that find the cell
+/// empty wait in `OnceLock::get_or_init` until it is filled.
+pub type PlanAnswer = Arc<OnceLock<ZoneHistograms>>;
 
-impl ServeCache {
-    pub fn new(row_capacity: usize, partition_capacity: usize) -> Self {
-        ServeCache {
-            rows: ShardedLru::new(row_capacity, 8),
-            partitions: ShardedLru::new(partition_capacity, 4),
-        }
-    }
-}
+/// The serving cache: (store version, plan) → the plan's answer.
+pub type ServeCache = Lru<(u64, PlanKey), PlanAnswer>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(zone: u32) -> ZoneKey {
-        ZoneKey {
-            version: 1,
-            plan: PlanKey {
-                band: 0,
-                n_bins: 64,
-            },
-            zone,
-        }
+    fn key(version: u64, n_bins: usize) -> (u64, PlanKey) {
+        (version, PlanKey { band: 0, n_bins })
     }
 
     #[test]
-    fn get_after_insert_roundtrips() {
-        let lru: ShardedLru<ZoneKey, Arc<Vec<u64>>> = ShardedLru::new(16, 4);
-        assert!(lru.get(&key(1)).is_none());
-        let row = Arc::new(vec![1, 2, 3]);
-        lru.insert(key(1), row.clone());
-        let got = lru.get(&key(1)).expect("hit");
-        assert!(Arc::ptr_eq(&got, &row), "cache returns the same allocation");
-        assert_eq!(lru.hit_miss(), (1, 1));
+    fn miss_inserts_and_hit_returns_the_same_answer() {
+        let cache: ServeCache = Lru::new(16);
+        let cold = cache.get_or_insert_with(key(1, 64), PlanAnswer::default);
+        assert!(cold.get().is_none(), "a miss inserts an empty cell");
+        cold.get_or_init(|| ZoneHistograms::new(3, 64));
+        let warm = cache.get_or_insert_with(key(1, 64), || panic!("hit must not make"));
+        assert!(Arc::ptr_eq(&warm, &cold), "cache returns the same answer");
+        assert!(warm.get().is_some());
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let lru: ShardedLru<ZoneKey, u64> = ShardedLru::new(0, 4);
-        lru.insert(key(1), 7);
-        assert!(lru.get(&key(1)).is_none());
+        let lru: Lru<u32, u64> = Lru::new(0);
+        assert_eq!(lru.get_or_insert_with(1, || 7), 7);
+        assert_eq!(lru.get_or_insert_with(1, || 8), 8, "nothing was kept");
+        assert!(!lru.contains(&1));
         assert!(lru.is_empty());
     }
 
     #[test]
-    fn lru_evicts_oldest_within_shard() {
-        // Single shard so recency order is total.
-        let lru: ShardedLru<u32, u32> = ShardedLru::new(2, 1);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        assert_eq!(lru.get(&1), Some(10)); // refresh 1; 2 is now oldest
-        lru.insert(3, 30); // evicts 2
-        assert_eq!(lru.get(&2), None);
-        assert_eq!(lru.get(&1), Some(10));
-        assert_eq!(lru.get(&3), Some(30));
+    fn lru_evicts_least_recently_used() {
+        let lru: Lru<u32, u32> = Lru::new(2);
+        lru.get_or_insert_with(1, || 10);
+        lru.get_or_insert_with(2, || 20);
+        assert_eq!(lru.get_or_insert_with(1, || 0), 10); // refresh 1; 2 is now oldest
+        lru.get_or_insert_with(3, || 30); // evicts 2
+        assert!(!lru.contains(&2));
+        assert_eq!(lru.get_or_insert_with(1, || 0), 10);
+        assert_eq!(lru.get_or_insert_with(3, || 0), 30);
         assert_eq!(lru.len(), 2);
     }
 
     #[test]
     fn version_partitions_key_space() {
-        let lru: ShardedLru<ZoneKey, u32> = ShardedLru::new(16, 2);
-        lru.insert(key(1), 7);
-        let mut stale = key(1);
-        stale.version = 2;
-        assert_eq!(lru.get(&stale), None, "new version never sees old entries");
+        let lru: Lru<(u64, PlanKey), u32> = Lru::new(16);
+        lru.get_or_insert_with(key(1, 64), || 7);
+        assert!(
+            !lru.contains(&key(2, 64)),
+            "new version never sees old entries"
+        );
+        assert!(!lru.contains(&key(1, 65)), "bin count is part of the plan");
     }
 
     #[test]
-    fn concurrent_access_is_safe() {
-        let lru: Arc<ShardedLru<u32, u32>> = Arc::new(ShardedLru::new(64, 8));
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let lru = Arc::clone(&lru);
-                s.spawn(move || {
-                    for i in 0..200u32 {
-                        lru.insert(t * 1000 + i, i);
-                        let _ = lru.get(&(t * 1000 + i % 50));
-                    }
-                });
-            }
+    fn concurrent_misses_fill_one_answer() {
+        let cache: ServeCache = Lru::new(4);
+        let fills = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<PlanAnswer> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let answer = cache.get_or_insert_with(key(1, 64), PlanAnswer::default);
+                        answer.get_or_init(|| {
+                            fills.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            ZoneHistograms::new(2, 64)
+                        });
+                        answer
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
         });
-        assert!(lru.len() <= 64);
+        assert_eq!(fills.into_inner(), 1, "one pass fills the plan");
+        assert!(answers.iter().all(|a| Arc::ptr_eq(a, &answers[0])));
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -14,11 +14,15 @@
 //!   ([`ServeError::QueueFull`], [`ServeError::Saturated`]), never
 //!   unbounded queueing.
 //! * **Batching** ([`service`]) — queries that arrive within a short
-//!   window and share a plan (band, bin spec) coalesce into one Step 0
-//!   decode and one Step 1–4 pass, fanned back out per request.
-//! * **Caching** ([`cache`]) — a sharded LRU over per-zone result rows
-//!   plus memoized per-partition intermediates, keyed by store version
-//!   so raster updates invalidate by construction.
+//!   window and share a plan (band, bin spec) coalesce into one
+//!   `run_partitions` call (one Step 0 decode and one Step 1–4 pass per
+//!   partition), fanned back out per request.
+//! * **Caching** ([`cache`]) — one LRU of merged answers, keyed by
+//!   (store version, plan). A cold batch fills it with the histograms
+//!   `run_partitions` returns; every later query of that plan reads its
+//!   rows from the entry, and a batch that arrives mid-fill waits for
+//!   that pass. The version in the key makes raster updates invalidate
+//!   by construction.
 //!
 //! The invariant the whole crate is built around: **a served answer is
 //! bit-identical to the direct `run_partitions` computation** for the
@@ -48,7 +52,6 @@ pub mod service;
 pub mod store;
 
 pub use admission::{estimate_partition_sim_secs, Admission, AdmissionController};
-pub use cache::{PartitionKey, ServeCache, ShardedLru, ZoneKey};
 pub use error::ServeError;
 pub use loadgen::{closed_loop, open_loop, LatencyStats, LoadReport, QueryMix};
 pub use query::{PlanKey, QueryResponse, ZonalQuery, ZoneRow, ZoneSelection};

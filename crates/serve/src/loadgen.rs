@@ -36,8 +36,8 @@ fn mix(state: u64) -> u64 {
 /// Reproducible query-mix generator.
 pub struct QueryMix {
     state: u64,
-    /// Bin counts cycled through (distinct bin specs defeat the
-    /// partition cache, identical ones exercise it).
+    /// Bin counts cycled through (each distinct bin spec is its own
+    /// plan and costs a cold pass; repeats exercise the plan cache).
     pub bin_choices: Vec<usize>,
     /// Zones available for subset queries.
     pub n_zones: usize,

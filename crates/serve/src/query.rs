@@ -1,7 +1,5 @@
 //! The request/response model: what a user asks and what comes back.
 
-use std::sync::Arc;
-
 /// Which zones a query wants histograms for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZoneSelection {
@@ -70,18 +68,19 @@ impl ZonalQuery {
     }
 }
 
-/// Coalescing key for batched execution: queries sharing a `PlanKey`
-/// touch the same raster partitions with the same kernel configuration,
-/// so one Step 0 decode and one Step 1–4 pass serves all of them.
+/// Coalescing and cache key for batched execution: queries sharing a
+/// `PlanKey` touch the same raster partitions with the same kernel
+/// configuration, so one Step 0 decode and one Step 1–4 pass per
+/// partition serves all of them, and the merged answer serves every
+/// later query of the plan until the raster changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanKey {
     pub band: u32,
     pub n_bins: usize,
 }
 
-/// One zone's answer: the zone id and its histogram row (shared with
-/// the result cache, hence the `Arc`).
-pub type ZoneRow = (u32, Arc<Vec<u64>>);
+/// One zone's answer: the zone id and its histogram row.
+pub type ZoneRow = (u32, Vec<u64>);
 
 /// A completed answer.
 #[derive(Debug, Clone)]
@@ -94,8 +93,8 @@ pub struct QueryResponse {
     pub n_bins: usize,
     /// Requested zones in request order, each with its full histogram.
     pub rows: Vec<ZoneRow>,
-    /// True iff every row came out of the result cache (no pipeline
-    /// work ran for this request).
+    /// True iff the plan's answer was already cached when the batch
+    /// ran (no pipeline work ran for this request).
     pub from_cache: bool,
 }
 
@@ -144,10 +143,7 @@ mod tests {
         let resp = QueryResponse {
             raster_version: 1,
             n_bins: 4,
-            rows: vec![
-                (2, Arc::new(vec![1, 2, 3, 4])),
-                (0, Arc::new(vec![5, 0, 0, 0])),
-            ],
+            rows: vec![(2, vec![1, 2, 3, 4]), (0, vec![5, 0, 0, 0])],
             from_cache: false,
         };
         assert_eq!(resp.total(), 15);

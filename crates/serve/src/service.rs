@@ -2,10 +2,10 @@
 //!
 //! ```text
 //!  submit()───try_admit──▶ [bounded queue] ──▶ dispatcher ──▶ workers
-//!     │            │                             (coalesce      (one
-//!     │            └─shed: QueueFull/Saturated    by PlanKey)    pipeline
-//!     ▼                                                          pass per
-//!  Ticket ◀──────────────── reply channel ◀──────────────────── partition)
+//!     │            │                             (coalesce      (plan cache;
+//!     │            └─shed: QueueFull/Saturated    by PlanKey)    a miss runs
+//!     ▼                                                          run_partitions
+//!  Ticket ◀──────────────── reply channel ◀──────────────────── once per plan)
 //! ```
 //!
 //! Invariants (asserted by the equivalence tests):
@@ -13,10 +13,9 @@
 //! * **Bit-identity.** Every answer equals the direct
 //!   `run_partitions` computation at the query's bin spec, restricted
 //!   to the requested zones — whether it was served cold, from a
-//!   coalesced batch, from memoized partition intermediates, or from
-//!   the row cache, and regardless of concurrent shedding or raster
-//!   updates (each answer is consistent with exactly one store
-//!   version, which it reports).
+//!   coalesced batch, or from the plan cache, and regardless of
+//!   concurrent shedding or raster updates (each answer is consistent
+//!   with exactly one store version, which it reports).
 //! * **Bounded queueing.** At most `queue_capacity` requests are
 //!   admitted-but-unfinished; excess is shed with a typed error, never
 //!   queued unboundedly.
@@ -29,12 +28,12 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender};
 use serde::Serialize;
-use zonal_core::pipeline::run_partition;
-use zonal_core::{PipelineConfig, ZonalResult};
+use zonal_core::pipeline::run_partitions;
+use zonal_core::PipelineConfig;
 use zonal_gpusim::CostModel;
 
 use crate::admission::{estimate_partition_sim_secs, Admission, AdmissionController};
-use crate::cache::{PartitionKey, ServeCache, ZoneKey};
+use crate::cache::{PlanAnswer, ServeCache};
 use crate::error::ServeError;
 use crate::query::{PlanKey, QueryResponse, ZonalQuery, ZoneSelection};
 use crate::store::RasterStore;
@@ -48,8 +47,10 @@ pub struct ServeConfig {
     pub pipeline: PipelineConfig,
     /// Maximum admitted-but-unfinished requests before shedding.
     pub queue_capacity: usize,
-    /// Executor threads (each runs whole batches; within a batch the
-    /// pipeline's own decode/compute overlap still applies).
+    /// Executor threads. Each runs whole batches; a cold batch calls
+    /// `run_partitions`, which spreads the plan's partitions over up to
+    /// `available_parallelism` scoped threads of its own, and each
+    /// partition keeps the pipeline's decode/compute overlap.
     pub workers: usize,
     /// How long the dispatcher waits after the first queued request for
     /// more requests to coalesce into the same batch. Zero disables
@@ -60,10 +61,9 @@ pub struct ServeConfig {
     /// Simulated-device occupancy ceiling for admission (seconds of
     /// estimated device work in flight).
     pub max_outstanding_sim_secs: f64,
-    /// Result-cache capacity in zone rows (0 disables).
-    pub row_cache_capacity: usize,
-    /// Memoized per-partition intermediate capacity (0 disables).
-    pub partition_cache_capacity: usize,
+    /// Plan-cache capacity in plans (0 disables). Each entry is one
+    /// plan's merged answer: every zone's row at the plan's bin count.
+    pub cache_capacity: usize,
 }
 
 impl ServeConfig {
@@ -75,15 +75,14 @@ impl ServeConfig {
             batch_window: Duration::from_millis(1),
             max_batch: 32,
             max_outstanding_sim_secs: 60.0,
-            row_cache_capacity: 4096,
-            partition_cache_capacity: 64,
+            cache_capacity: 16,
         }
     }
 
-    /// Disable both caches (the cache-off arm of the equivalence tests).
+    /// Disable the plan cache (the cache-off arm of the equivalence
+    /// tests).
     pub fn without_caching(mut self) -> Self {
-        self.row_cache_capacity = 0;
-        self.partition_cache_capacity = 0;
+        self.cache_capacity = 0;
         self
     }
 
@@ -125,10 +124,14 @@ pub struct ServeStats {
     pub batched_queries: u64,
     /// Partition pipeline passes actually run (Step 0–4).
     pub pipeline_passes: u64,
-    /// Partition passes skipped via memoized intermediates.
+    /// Partition passes a cached plan saved: a batch that runs no pass
+    /// (its plan was cached, or another batch was filling it) adds its
+    /// band's partition count.
     pub partition_cache_hits: u64,
-    /// Zone-row result-cache hits / misses.
+    /// Requested zone rows answered from a cached plan, including one
+    /// another batch was filling.
     pub row_cache_hits: u64,
+    /// Requested zone rows answered after a pipeline pass.
     pub row_cache_misses: u64,
 }
 
@@ -146,7 +149,7 @@ impl ServeStats {
         self.shed() as f64 / offered as f64
     }
 
-    /// Row-cache hit fraction of all row lookups.
+    /// Fraction of requested zone rows answered from a cached plan.
     pub fn row_cache_hit_rate(&self) -> f64 {
         let total = self.row_cache_hits + self.row_cache_misses;
         if total == 0 {
@@ -175,6 +178,8 @@ struct StatCounters {
     batched_queries: AtomicU64,
     pipeline_passes: AtomicU64,
     partition_cache_hits: AtomicU64,
+    row_cache_hits: AtomicU64,
+    row_cache_misses: AtomicU64,
 }
 
 /// Reply payload: the answer plus its server-side completion time, so
@@ -243,7 +248,7 @@ impl ZonalService {
         let shared = Arc::new(Shared {
             cost: CostModel::new(cfg.pipeline.device),
             admission: AdmissionController::new(cfg.queue_capacity, cfg.max_outstanding_sim_secs),
-            cache: ServeCache::new(cfg.row_cache_capacity, cfg.partition_cache_capacity),
+            cache: ServeCache::new(cfg.cache_capacity),
             stats: StatCounters::default(),
             shutting_down: AtomicBool::new(false),
             store,
@@ -281,7 +286,6 @@ impl ZonalService {
     /// Current counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
-        let (row_hits, row_misses) = self.shared.cache.rows.hit_miss();
         ServeStats {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
@@ -292,27 +296,26 @@ impl ZonalService {
             batched_queries: s.batched_queries.load(Ordering::Relaxed),
             pipeline_passes: s.pipeline_passes.load(Ordering::Relaxed),
             partition_cache_hits: s.partition_cache_hits.load(Ordering::Relaxed),
-            row_cache_hits: row_hits,
-            row_cache_misses: row_misses,
+            row_cache_hits: s.row_cache_hits.load(Ordering::Relaxed),
+            row_cache_misses: s.row_cache_misses.load(Ordering::Relaxed),
         }
     }
 
-    /// Estimated device-seconds a query would add at admission, given
-    /// the current cache state (memoized partitions cost nothing).
+    /// Estimated device-seconds a query would add at admission: zero
+    /// when its plan's answer is cached or being filled, otherwise the
+    /// sum of its band's partition estimates.
     pub fn estimate_sim_secs(&self, query: &ZonalQuery) -> f64 {
         let snap = self.shared.store.snapshot();
-        let plan = query.plan_key();
+        if self
+            .shared
+            .cache
+            .contains(&(snap.version, query.plan_key()))
+        {
+            return 0.0;
+        }
         snap.band(query.band)
             .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                !self.shared.cache.partitions.contains(&PartitionKey {
-                    version: snap.version,
-                    plan,
-                    partition: *i,
-                })
-            })
-            .map(|(_, p)| estimate_partition_sim_secs(&self.shared.cost, p.cells()))
+            .map(|p| estimate_partition_sim_secs(&self.shared.cost, p.cells()))
             .sum()
     }
 
@@ -485,121 +488,58 @@ fn worker_loop(shared: &Shared, work_rx: &Arc<Mutex<Receiver<Batch>>>, index: us
     }
 }
 
-/// Run one coalesced batch: at most one pipeline pass per partition
-/// regardless of how many queries share the plan, then fan rows back
-/// per request.
+/// Run one coalesced batch: answer the plan from the cache, or run
+/// `run_partitions` once for it and cache the merged histograms, then
+/// fan rows back per request.
 fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     let mut span = zonal_obs::span("serve batch");
     span.arg("band", plan.band as u64)
         .arg("bins", plan.n_bins as u64)
         .arg("queries", requests.len() as u64);
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
+    let stats = &shared.stats;
+    stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats
         .batched_queries
         .fetch_add(requests.len() as u64, Ordering::Relaxed);
 
     let snap = shared.store.snapshot();
-    let version = snap.version;
-
-    // Unique zones across the batch, insertion-ordered.
-    let mut unique: Vec<u32> = Vec::new();
-    for r in &requests {
-        for &z in &r.zone_ids {
-            if !unique.contains(&z) {
-                unique.push(z);
-            }
-        }
-    }
-
-    // Fast path: every requested row already cached for this version.
-    let mut rows: Vec<(u32, Option<Arc<Vec<u64>>>)> = unique
-        .iter()
-        .map(|&z| {
-            let key = ZoneKey {
-                version,
-                plan,
-                zone: z,
-            };
-            (z, shared.cache.rows.get(&key))
-        })
-        .collect();
-    let all_cached = rows.iter().all(|(_, r)| r.is_some());
-
-    if !all_cached {
-        // Slow path: one pipeline pass per partition (memoized), merged
-        // in partition-index order — exactly `run_partitions` semantics.
+    let partitions = snap.band(plan.band);
+    let answer = shared
+        .cache
+        .get_or_insert_with((snap.version, plan), PlanAnswer::default);
+    let from_cache = answer.get().is_some();
+    // Only the batch that fills the cell runs the pass; a batch of the
+    // same plan that finds it mid-fill waits here for that pass.
+    let mut ran_pass = false;
+    let hists = answer.get_or_init(|| {
+        ran_pass = true;
         let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
-        let zones = shared.store.zones();
-        let mut merged: Option<ZonalResult> = None;
-        for (i, source) in snap.band(plan.band).iter().enumerate() {
-            let key = PartitionKey {
-                version,
-                plan,
-                partition: i,
-            };
-            let part = match shared.cache.partitions.get(&key) {
-                Some(hit) => {
-                    shared
-                        .stats
-                        .partition_cache_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    zonal_obs::counter("serve_partition_cache_hit").add(1);
-                    hit
-                }
-                None => {
-                    shared.stats.pipeline_passes.fetch_add(1, Ordering::Relaxed);
-                    let r = Arc::new(run_partition(&cfg, zones, source));
-                    shared.cache.partitions.insert(key, Arc::clone(&r));
-                    r
-                }
-            };
-            match &mut merged {
-                None => merged = Some((*part).clone()),
-                Some(m) => m.merge(&part),
-            }
-        }
-        let merged = merged.expect("store bands are never empty");
-        for (z, row) in rows.iter_mut() {
-            if row.is_none() {
-                let window = merged.hists.window(*z as usize);
-                let fresh = Arc::new(window.to_dense(plan.n_bins));
-                shared.cache.rows.insert(
-                    ZoneKey {
-                        version,
-                        plan,
-                        zone: *z,
-                    },
-                    Arc::clone(&fresh),
-                );
-                *row = Some(fresh);
-            }
-        }
+        run_partitions(&cfg, shared.store.zones(), partitions).hists
+    });
+    let n_rows: usize = requests.iter().map(|r| r.zone_ids.len()).sum();
+    let (passes, rows) = if ran_pass {
+        (&stats.pipeline_passes, &stats.row_cache_misses)
     } else {
         zonal_obs::counter("serve_batch_fully_cached").add(1);
-    }
+        (&stats.partition_cache_hits, &stats.row_cache_hits)
+    };
+    passes.fetch_add(partitions.len() as u64, Ordering::Relaxed);
+    rows.fetch_add(n_rows as u64, Ordering::Relaxed);
 
     // Fan out: each request gets its zones in request order.
     for request in requests {
         let resp = QueryResponse {
-            raster_version: version,
+            raster_version: snap.version,
             n_bins: plan.n_bins,
             rows: request
                 .zone_ids
                 .iter()
-                .map(|&z| {
-                    let row = rows
-                        .iter()
-                        .find(|(id, _)| *id == z)
-                        .and_then(|(_, r)| r.clone())
-                        .expect("every requested zone was resolved");
-                    (z, row)
-                })
+                .map(|&z| (z, hists.window(z as usize).to_dense(plan.n_bins)))
                 .collect(),
-            from_cache: all_cached,
+            from_cache,
         };
         shared.admission.release(request.admission);
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+        stats.completed.fetch_add(1, Ordering::Relaxed);
         let _ = request.reply.send((Ok(resp), Instant::now()));
     }
     zonal_obs::gauge("serve_queue_depth").record(shared.admission.depth() as u64);

@@ -6,9 +6,10 @@
 //! an immutable [`StoreSnapshot`] and never block each other.
 //!
 //! **Versioning is the cache-invalidation mechanism.** Every raster
-//! update atomically swaps the source set and bumps the version; cache
-//! keys embed the version, so entries for superseded rasters can never
-//! be served (they age out of the LRU instead of being chased down).
+//! update atomically swaps the source set and bumps the version; the
+//! plan cache's key is (version, plan), so answers merged from
+//! superseded rasters can never be served (they age out of the LRU
+//! instead of being chased down).
 
 use std::sync::{Arc, RwLock};
 use zonal_core::pipeline::Zones;
@@ -116,7 +117,8 @@ impl RasterStore {
 
     /// Replace every band's sources and bump the version. Returns the
     /// new version. In-flight batches keep computing against their
-    /// snapshot; caches keyed by the old version become unreachable.
+    /// snapshot; plan-cache entries of the old version become
+    /// unreachable.
     pub fn update(&self, bands: Vec<Band>) -> u64 {
         assert!(!bands.is_empty(), "store needs at least one band");
         assert!(

@@ -97,7 +97,7 @@ fn repeat_query_hits_cache_bit_identically() {
     assert_eq!(cold.rows.len(), warm.rows.len());
     for ((zc, rc), (zw, rw)) in cold.rows.iter().zip(&warm.rows) {
         assert_eq!(zc, zw);
-        assert!(Arc::ptr_eq(rc, rw), "cache returns the same allocation");
+        assert_eq!(rc, rw, "zone {zc}: cached row equals the cold one");
     }
     let stats = service.shutdown();
     assert_eq!(stats.completed, 2);
@@ -106,23 +106,62 @@ fn repeat_query_hits_cache_bit_identically() {
 }
 
 #[test]
-fn same_plan_reuses_partition_intermediates() {
+fn other_zones_of_a_warm_plan_come_from_cache() {
     let store = store(0);
     let service = ZonalService::start(Arc::clone(&store), ServeConfig::new(cfg()));
-    service
+    let first = service
         .query(ZonalQuery::zone_subset(64, vec![0]))
         .expect("first");
-    // Different zones, same plan: row cache misses, partition cache hits.
+    assert!(!first.from_cache);
+    // Different zones, same plan: the cached answer holds every zone.
     let resp = service
         .query(ZonalQuery::zone_subset(64, vec![1, 2]))
         .expect("second");
-    assert!(!resp.from_cache);
+    assert!(resp.from_cache, "a warm plan answers any zone subset");
     let want = direct_rows(&store, 64, &[1, 2]);
     assert_eq!(resp.rows[0].1.as_slice(), want[0].as_slice());
     assert_eq!(resp.rows[1].1.as_slice(), want[1].as_slice());
     let stats = service.shutdown();
     assert_eq!(stats.pipeline_passes, 2, "partitions decoded only once");
-    assert_eq!(stats.partition_cache_hits, 2, "second query reused both");
+    assert_eq!(stats.partition_cache_hits, 2, "second query saved both");
+    assert_eq!(stats.row_cache_misses, 1, "zone 0 after the pass");
+    assert_eq!(stats.row_cache_hits, 2, "zones 1 and 2 from the cache");
+}
+
+#[test]
+fn eviction_at_capacity_one_costs_one_pass_per_partition() {
+    let store = store(0);
+    let mut sc = ServeConfig::new(cfg());
+    sc.cache_capacity = 1;
+    let service = ZonalService::start(Arc::clone(&store), sc);
+    let want32 = direct_rows(&store, 32, &[0, 1, 2]);
+    let want64 = direct_rows(&store, 64, &[0, 1, 2]);
+    // 32, 32, 64, 64, 32, 64: the repeat right after a plan's pass is a
+    // hit; every switch evicts the other plan and runs a new pass.
+    let plan = [32usize, 32, 64, 64, 32, 64];
+    let mut passes = 0;
+    for (i, &n_bins) in plan.iter().enumerate() {
+        let resp = service
+            .query(ZonalQuery::all_zones(n_bins))
+            .expect("served");
+        let want = if n_bins == 32 { &want32 } else { &want64 };
+        for (z, row) in &resp.rows {
+            assert_eq!(row, &want[*z as usize], "query {i}, zone {z}");
+        }
+        let hit = i > 0 && plan[i - 1] == n_bins;
+        assert_eq!(resp.from_cache, hit, "query {i}");
+        if !hit {
+            passes += 2;
+        }
+        assert_eq!(
+            service.stats().pipeline_passes,
+            passes,
+            "query {i}: each miss runs both partitions once"
+        );
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.pipeline_passes, 8, "four misses × two partitions");
+    assert_eq!(stats.partition_cache_hits, 4, "two hits × two partitions");
 }
 
 #[test]

@@ -12,9 +12,6 @@ pub struct PipelineConfig {
     /// Histogram bins (paper: 5000, since "the majority of raster cells
     /// have values less than 5000").
     pub n_bins: usize,
-    /// Threads per block in the simulated kernels (paper example: 256).
-    /// Affects work accounting and the SIMT-emulation tests, not results.
-    pub block_dim: usize,
     /// Simulated device the cost model prices kernels on.
     pub device: DeviceSpec,
     /// Number of tile rows decoded and processed per streaming strip.
@@ -36,7 +33,6 @@ impl PipelineConfig {
         PipelineConfig {
             tile_deg: 0.1,
             n_bins: 5000,
-            block_dim: 256,
             device,
             strip_rows: 4,
             inflight_strips: 2,
@@ -49,7 +45,6 @@ impl PipelineConfig {
         PipelineConfig {
             tile_deg: 0.8,
             n_bins: 256,
-            block_dim: 32,
             device: DeviceSpec::gtx_titan(),
             strip_rows: 2,
             inflight_strips: 2,
@@ -84,7 +79,6 @@ impl PipelineConfig {
             self.n_bins <= u16::MAX as usize,
             "bins beyond u16 value range are unreachable"
         );
-        assert!(self.block_dim > 0, "block_dim must be positive");
         assert!(self.strip_rows > 0, "strip_rows must be positive");
         assert!(self.inflight_strips > 0, "inflight_strips must be positive");
         assert!(
@@ -110,7 +104,6 @@ mod tests {
         let c = PipelineConfig::paper(DeviceSpec::gtx_titan());
         assert_eq!(c.tile_deg, 0.1);
         assert_eq!(c.n_bins, 5000);
-        assert_eq!(c.block_dim, 256);
         c.validate();
     }
 

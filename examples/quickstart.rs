@@ -135,7 +135,7 @@ fn main() {
             .expect("repeat query");
         let stats = service.shutdown();
         println!(
-            "  repeat query from_cache: {}; row cache hit rate {:.0}%; {} pipeline pass(es)",
+            "  repeat query from_cache: {}; cached-plan row rate {:.0}%; {} pipeline pass(es)",
             again.from_cache,
             100.0 * stats.row_cache_hit_rate(),
             stats.pipeline_passes
