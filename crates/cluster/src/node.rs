@@ -80,15 +80,7 @@ pub fn run_node(input: &NodeInput, zones: &Zones, cell_factor: f64) -> (ZonalRes
         .iter()
         .map(|part| SyntheticSrtm::new(part.grid(input.pipeline.tile_deg), input.seed))
         .collect();
-    let result = if sources.is_empty() {
-        ZonalResult {
-            hists: zonal_core::ZoneHistograms::new(zones.len(), input.pipeline.n_bins),
-            timings: zonal_core::PipelineTimings::new(input.pipeline.device),
-            counts: Default::default(),
-        }
-    } else {
-        run_partitions(&input.pipeline, zones, &sources)
-    };
+    let result = run_partitions(&input.pipeline, zones, &sources);
     span.arg("cells", result.counts.n_cells);
     let report = NodeReport {
         rank: input.rank,

@@ -3,9 +3,8 @@
 //! A CUDA kernel launch is a grid of *independent* thread blocks: blocks may
 //! not communicate except through global atomics, and the hardware schedules
 //! them in any order. A launch here runs its blocks in order on the calling
-//! thread; host concurrency comes from the callers (the decode/compute
-//! overlap, `run_partitions` workers, cluster node threads and the serve
-//! pool). Kernels are still written to the independent-block contract
+//! thread; host concurrency comes from the callers (`run_partitions`
+//! workers, cluster node threads and the serve pool). Kernels are still written to the independent-block contract
 //! (`Fn + Sync`): anything a kernel writes must go through owned per-block
 //! results ([`launch_map`]) or atomic buffers ([`crate::atomic`], or their
 //! sanitizer-aware [`crate::tracked`] wrappers), the same discipline CUDA

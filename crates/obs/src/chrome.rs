@@ -7,7 +7,7 @@
 //! `chrome://tracing`, with **dual clocks** split across two pids:
 //!
 //! * pid [`WALL_PID`] — real wall-time lanes, one per recording thread
-//!   (decode thread, compute consumer, cluster ranks, …).
+//!   (pipeline compute threads, cluster ranks, serve workers, …).
 //! * pid [`SIM_PID`] — synthetic lanes replaying the cost model's
 //!   simulated device time (per-strip transfer vs. compute spans and
 //!   per-kernel spans), so the overlap recurrence in

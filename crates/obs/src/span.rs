@@ -2,7 +2,7 @@
 //!
 //! Every thread that records events gets a small integer lane id on
 //! first use (a thread-local cache over a global counter). Lane *names*
-//! ("decode", "compute", "rank 3", …) are owned strings and therefore
+//! ("compute", "rank 3", …) are owned strings and therefore
 //! live in the session's cold-path side table, registered via
 //! [`set_lane_name`]; the hot path only ever touches the `u32` id.
 

@@ -11,9 +11,9 @@
 //!    (the same model the pipeline's timing reports use) as estimated
 //!    simulated device seconds; the sum over admitted-but-unfinished
 //!    queries may not exceed `max_outstanding_sim_secs`, else
-//!    [`ServeError::Saturated`]. Cached partitions are excluded from
-//!    the estimate, so a warm cache raises effective admission capacity
-//!    exactly like it raises throughput.
+//!    [`ServeError::Saturated`]. A query whose plan's answer is cached
+//!    or being filled is estimated at zero, so a warm cache raises
+//!    effective admission capacity exactly like it raises throughput.
 //!
 //! Both gates reserve optimistically (`fetch_add`) and roll back on
 //! rejection, so concurrent submitters can never oversubscribe.

@@ -49,8 +49,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Executor threads. Each runs whole batches; a cold batch calls
     /// `run_partitions`, which spreads the plan's partitions over up to
-    /// `available_parallelism` scoped threads of its own, and each
-    /// partition keeps the pipeline's decode/compute overlap.
+    /// `available_parallelism` scoped threads of its own, one per
+    /// partition at a time.
     pub workers: usize,
     /// How long the dispatcher waits after the first queued request for
     /// more requests to coalesce into the same batch. Zero disables

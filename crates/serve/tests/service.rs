@@ -379,7 +379,7 @@ fn estimate_shrinks_with_warm_partition_cache() {
     assert!(cold > 0.0);
     service.query(q.clone()).expect("warm the cache");
     let warm = service.estimate_sim_secs(&q);
-    assert_eq!(warm, 0.0, "memoized partitions cost nothing to admit");
+    assert_eq!(warm, 0.0, "a cached plan costs nothing to admit");
     let other = service.estimate_sim_secs(&ZonalQuery::all_zones(128));
     assert!((other - cold).abs() < 1e-12, "different plan is still cold");
 }

@@ -17,14 +17,10 @@ pub struct PipelineConfig {
     /// Number of tile rows decoded and processed per streaming strip.
     /// A strip holds `strip_rows × tiles_x` decoded tiles and their
     /// histogram runs (at most one 8-byte run per cell), so host memory
-    /// per strip is proportional to its cells, not to `n_bins`.
+    /// per strip is proportional to its cells, not to `n_bins`. A
+    /// partition keeps one strip live at a time; the cost model prices
+    /// the paper's CUDA-stream overlap from the per-strip work records.
     pub strip_rows: usize,
-    /// Maximum strips in flight in the streaming executor: the decode
-    /// stage may run this many strips ahead of compute, bounding host
-    /// memory at `inflight_strips × strip` decoded tiles. `1` disables
-    /// overlap (fully serial decode→compute per strip); `2` is classic
-    /// double buffering, matching a CUDA stream pair.
-    pub inflight_strips: usize,
 }
 
 impl PipelineConfig {
@@ -35,7 +31,6 @@ impl PipelineConfig {
             n_bins: 5000,
             device,
             strip_rows: 4,
-            inflight_strips: 2,
         }
     }
 
@@ -47,7 +42,6 @@ impl PipelineConfig {
             n_bins: 256,
             device: DeviceSpec::gtx_titan(),
             strip_rows: 2,
-            inflight_strips: 2,
         }
     }
 
@@ -66,11 +60,6 @@ impl PipelineConfig {
         self
     }
 
-    pub fn with_inflight_strips(mut self, inflight_strips: usize) -> Self {
-        self.inflight_strips = inflight_strips;
-        self
-    }
-
     /// Validate invariants; called by the pipeline entry points.
     pub fn validate(&self) {
         assert!(self.tile_deg > 0.0, "tile_deg must be positive");
@@ -80,20 +69,8 @@ impl PipelineConfig {
             "bins beyond u16 value range are unreachable"
         );
         assert!(self.strip_rows > 0, "strip_rows must be positive");
-        assert!(self.inflight_strips > 0, "inflight_strips must be positive");
-        assert!(
-            self.inflight_strips <= MAX_INFLIGHT_STRIPS,
-            "inflight_strips = {} exceeds the cap of {MAX_INFLIGHT_STRIPS}; \
-             each in-flight strip pins a strip's decoded tiles in host memory",
-            self.inflight_strips
-        );
     }
 }
-
-/// Upper bound on [`PipelineConfig::inflight_strips`]: beyond this the
-/// "bounded memory high-water mark" rationale for strip streaming is
-/// gone, so a huge value is almost certainly a configuration bug.
-pub const MAX_INFLIGHT_STRIPS: usize = 1024;
 
 #[cfg(test)]
 mod tests {
@@ -120,22 +97,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the cap")]
-    fn absurd_inflight_rejected() {
-        PipelineConfig::test()
-            .with_inflight_strips(MAX_INFLIGHT_STRIPS + 1)
-            .validate();
-    }
-
-    #[test]
-    fn boundary_inflight_values_accepted() {
-        PipelineConfig::test().with_inflight_strips(1).validate();
-        PipelineConfig::test()
-            .with_inflight_strips(MAX_INFLIGHT_STRIPS)
-            .validate();
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bin")]
     fn zero_bins_rejected() {
         PipelineConfig::test().with_bins(0).validate();
@@ -145,11 +106,5 @@ mod tests {
     #[should_panic(expected = "tile_deg")]
     fn zero_tile_rejected() {
         PipelineConfig::test().with_tile_deg(0.0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "inflight_strips")]
-    fn zero_inflight_rejected() {
-        PipelineConfig::test().with_inflight_strips(0).validate();
     }
 }

@@ -13,15 +13,13 @@
 //! size, the same property that lets the paper stream a 40 GB raster
 //! through a 6 GB GPU.
 //!
-//! Decode and compute are *overlapped*: a decode stage streams strips
-//! over a bounded channel to the compute stage, running up to
-//! `inflight_strips` ahead — the host-side rendition of the CUDA-stream
-//! double buffering the paper's implementation uses to hide strip
-//! uploads behind kernels. The compute stage drains strips strictly in
-//! order on one thread, so results are bit-identical to the serial
-//! schedule regardless of interleaving; only wall-clock time changes.
-//! The bounded channel caps live strips at `inflight_strips`, preserving
-//! the memory high-water mark.
+//! A partition runs its strips in order on the calling thread, one strip
+//! live at a time. The paper hides strip uploads behind kernels with CUDA
+//! streams; here that overlap is a cost-model figure
+//! ([`PipelineTimings::end_to_end_overlapped_sim_secs`]) priced from the
+//! per-strip [`StripWork`] records, so it does not depend on how the host
+//! schedules its threads. Host concurrency comes from [`run_partitions`],
+//! which runs whole partitions on parallel workers.
 
 use crate::config::PipelineConfig;
 use crate::hist::{ZoneHistograms, ZoneRows};
@@ -34,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use zonal_geo::{FlatPolygons, PolygonLayer};
 use zonal_gpusim::{KernelWork, WorkCounter};
-use zonal_raster::{TileSource, TileStrip, TileView};
+use zonal_raster::{TileSource, TileView};
 
 /// Device arithmetic per cell for Step 0 BQ-Tree decode (bitplane scatter
 /// and tree walk, amortized): the constant the cost model prices the
@@ -42,17 +40,6 @@ use zonal_raster::{TileSource, TileStrip, TileView};
 /// codec, and stays fixed when the host decoder gets faster, so sim
 /// seconds do not move with host-side speedups.
 pub const DECODE_FLOPS_PER_CELL: u64 = 32;
-
-/// Bounded-channel capacity for the decode→compute hand-off, derived
-/// from the in-flight strip budget: live strips = queued strips + the
-/// strip a blocked sender holds + the strip being computed, so a budget
-/// of `inflight` leaves `inflight - 2` queue slots. Saturating at a
-/// floor of 1 keeps small budgets (1 or 2, where the subtraction would
-/// underflow or hit zero) on a real queue; the live-strip bound is then
-/// `max(inflight, 3)`.
-fn queue_capacity(inflight: usize) -> usize {
-    inflight.saturating_sub(2).max(1)
-}
 
 /// A zone layer in both representations the pipeline needs: object polygons
 /// for Step 2's exact classification, flattened arrays for Step 4's kernel.
@@ -98,18 +85,6 @@ impl ZonalResult {
         self.timings.accumulate(&other.timings);
         self.counts.accumulate(&other.counts);
     }
-}
-
-/// A strip emitted by the decode stage, carrying everything the compute
-/// stage needs. At most `inflight_strips` of these are alive at once.
-struct DecodedStrip {
-    strip: usize,
-    first_tid: usize,
-    tiles: TileStrip,
-    encoded_bytes: u64,
-    cells: u64,
-    decode_wall: f64,
-    decode_work: KernelWork,
 }
 
 /// Run the pipeline for one raster partition.
@@ -192,8 +167,17 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     // `his_d_polygon` rows only for the zones this partition pairs with.
     let zone_rows = ZoneRows::new(&pairs.touched_zones(zones.len()), n_bins);
 
-    // ----- Decode stage (Step 0): one strip, pure function of the source.
-    let decode_strip = |strip: usize| -> DecodedStrip {
+    // PIP efficiency counter pair (the paper's headline saving): cells
+    // refined in Step 4 vs. cells settled wholesale by tile classification.
+    let pip_performed = zonal_obs::counter("pip_tests_performed");
+    let pip_avoided = zonal_obs::counter("pip_tests_avoided");
+    let strip_cells = zonal_obs::histogram("strip_cells");
+
+    // Per-strip counters feed both the step totals and the per-strip
+    // stream records, so totals equal the sum over strips exactly.
+    zonal_obs::set_lane_name("compute");
+    for strip in 0..n_strips {
+        // ----- Step 0: decode (or generate) the strip ---------------------
         let ty0 = strip * cfg.strip_rows;
         let ty1 = (ty0 + cfg.strip_rows).min(tiles_y);
         let first_tid = ty0 * tiles_x;
@@ -201,7 +185,7 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         let mut span = zonal_obs::span("step0: decode strip");
         let t0 = Instant::now();
         let tiles = source.strip(ty0..ty1);
-        let decode_wall = t0.elapsed().as_secs_f64();
+        timings.steps[0].wall_secs += t0.elapsed().as_secs_f64();
         assert_eq!(
             tiles.len(),
             strip_tiles,
@@ -225,36 +209,14 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             .arg("encoded_bytes", encoded_bytes)
             .arg("flops", decode_work.flops)
             .arg("coalesced_bytes", decode_work.coalesced_bytes);
-        DecodedStrip {
-            strip,
-            first_tid,
-            tiles,
-            encoded_bytes,
-            cells,
-            decode_wall,
-            decode_work,
-        }
-    };
+        drop(span);
 
-    // PIP efficiency counter pair (the paper's headline saving): cells
-    // refined in Step 4 vs. cells settled wholesale by tile classification.
-    let pip_performed = zonal_obs::counter("pip_tests_performed");
-    let pip_avoided = zonal_obs::counter("pip_tests_avoided");
-    let strip_cells = zonal_obs::histogram("strip_cells");
-
-    // ----- Compute stage (Steps 1/3/4): drains strips strictly in order.
-    // Per-strip counters feed both the step totals and the per-strip
-    // stream records, so totals equal the sum over strips exactly.
-    let mut consume = |d: DecodedStrip| {
         let mut strip_span = zonal_obs::span("compute strip");
-        strip_span
-            .arg("strip", d.strip as u64)
-            .arg("cells", d.cells);
-        timings.steps[0].wall_secs += d.decode_wall;
-        strip_cells.record(d.cells);
-        counts.n_cells += d.cells;
-        counts.encoded_bytes += d.encoded_bytes;
-        counts.raw_bytes += d.cells * 2;
+        strip_span.arg("strip", strip as u64).arg("cells", cells);
+        strip_cells.record(cells);
+        counts.n_cells += cells;
+        counts.encoded_bytes += encoded_bytes;
+        counts.raw_bytes += cells * 2;
 
         let s1_cell = WorkCounter::new();
         let s1_fixed = WorkCounter::new();
@@ -264,10 +226,10 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         // ----- Step 1: per-tile histograms --------------------------------
         // Only the tiles of inside pairs have their runs read (Step 3).
         let t1 = Instant::now();
-        let views: Vec<TileView> = d.tiles.tiles().collect();
+        let views: Vec<TileView> = tiles.tiles().collect();
         let mut wanted = vec![false; views.len()];
-        for &(_, tid) in &inside_by_strip[d.strip] {
-            wanted[tid as usize - d.first_tid] = true;
+        for &(_, tid) in &inside_by_strip[strip] {
+            wanted[tid as usize - first_tid] = true;
         }
         let tile_hists = per_tile_histograms(&views, &wanted, n_bins, &s1_cell, &s1_fixed);
         timings.steps[1].wall_secs += t1.elapsed().as_secs_f64();
@@ -276,18 +238,18 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
 
         // ----- Step 3: aggregate inside tiles ------------------------------
         let t3 = Instant::now();
-        let agg_pairs: Vec<(u32, &[(u16, u32)])> = inside_by_strip[d.strip]
+        let agg_pairs: Vec<(u32, &[(u16, u32)])> = inside_by_strip[strip]
             .iter()
-            .map(|&(pid, tid)| (pid, tile_hists[tid as usize - d.first_tid].runs.as_slice()))
+            .map(|&(pid, tid)| (pid, tile_hists[tid as usize - first_tid].runs.as_slice()))
             .collect();
         aggregate_inside(&agg_pairs, &zone_rows, &s3_fixed);
         timings.steps[3].wall_secs += t3.elapsed().as_secs_f64();
 
         // ----- Step 4: refine boundary tiles -------------------------------
         let t4 = Instant::now();
-        let ref_pairs: Vec<(u32, u32, TileView)> = intersect_by_strip[d.strip]
+        let ref_pairs: Vec<(u32, u32, TileView)> = intersect_by_strip[strip]
             .iter()
-            .map(|&(pid, tid)| (pid, tid, views[tid as usize - d.first_tid]))
+            .map(|&(pid, tid)| (pid, tid, views[tid as usize - first_tid]))
             .collect();
         let rc = refine_intersect(&ref_pairs, grid, &zones.flat, &zone_rows, &s4_cell);
         timings.steps[4].wall_secs += t4.elapsed().as_secs_f64();
@@ -296,11 +258,11 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         counts.edge_tests += rc.edge_tests;
 
         let mut sw = StripWork {
-            encoded_bytes: d.encoded_bytes,
-            raw_bytes: d.cells * 2,
+            encoded_bytes,
+            raw_bytes: cells * 2,
             ..Default::default()
         };
-        sw.cell_work[0] = d.decode_work;
+        sw.cell_work[0] = decode_work;
         sw.cell_work[1] = s1_cell.snapshot();
         sw.fixed_work[1] = s1_fixed.snapshot();
         sw.fixed_work[3] = s3_fixed.snapshot();
@@ -310,48 +272,6 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
             timings.steps[i].fixed_work = timings.steps[i].fixed_work.merge(&sw.fixed_work[i]);
         }
         timings.strips.push(sw);
-    };
-
-    if cfg.inflight_strips == 1 || n_strips <= 1 {
-        // Serial schedule: each strip fully decoded, then fully computed.
-        zonal_obs::set_lane_name("compute");
-        for strip in 0..n_strips {
-            consume(decode_strip(strip));
-        }
-    } else {
-        // Overlapped schedule: the decoder thread runs ahead, bounded so
-        // live strips never exceed `max(inflight_strips, 3)` — see
-        // `queue_capacity` for the budget arithmetic (the subtraction
-        // there saturates, fixing the underflow a raw
-        // `inflight_strips - 2` would hit at small budgets).
-        let queue_cap = queue_capacity(cfg.inflight_strips);
-        let queue_depth = zonal_obs::gauge("strip_queue_depth");
-        let depth = AtomicUsize::new(0);
-        let decode_strip = &decode_strip;
-        zonal_obs::set_lane_name("compute");
-        std::thread::scope(|s| {
-            let (tx, rx) = crossbeam::channel::bounded(queue_cap);
-            let depth = &depth;
-            s.spawn(move || {
-                zonal_obs::set_lane_name("decode");
-                for strip in 0..n_strips {
-                    let d = decode_strip(strip);
-                    // Count the strip before it is visible to the consumer
-                    // so the depth can never transiently underflow.
-                    queue_depth.record(depth.fetch_add(1, Ordering::Relaxed) as u64 + 1);
-                    if tx.send(d).is_err() {
-                        break; // compute side panicked; unwind quietly
-                    }
-                }
-            });
-            let mut expected = 0;
-            while let Ok(d) = rx.recv() {
-                queue_depth.record(depth.fetch_sub(1, Ordering::Relaxed) as u64 - 1);
-                debug_assert_eq!(d.strip, expected, "strips must arrive in order");
-                expected += 1;
-                consume(d);
-            }
-        });
     }
 
     pip_performed.add(counts.pip_cells_tested);
@@ -374,64 +294,54 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
 /// Run the pipeline over several partitions (the single-node
 /// configuration of the paper's Table 2) and merge the results.
 ///
-/// Partitions are independent, so they run on a pool of worker threads
-/// (up to the host's parallelism); results are merged in partition
-/// order, making the outcome identical to the sequential loop no matter
-/// how the workers interleave.
+/// Partitions are independent, so `min(available_parallelism, n)` scoped
+/// workers pull partition indices from one counter; results are merged in
+/// partition order, making the outcome identical to the sequential loop
+/// no matter how the workers interleave. An empty slice yields zero-row
+/// histograms for the layer at `cfg.n_bins`.
 pub fn run_partitions<S: TileSource>(
     cfg: &PipelineConfig,
     zones: &Zones,
     sources: &[S],
 ) -> ZonalResult {
-    assert!(!sources.is_empty(), "need at least one partition");
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(sources.len());
-    if workers <= 1 || sources.len() == 1 {
-        let mut iter = sources.iter();
-        let mut result = run_partition(cfg, zones, iter.next().expect("nonempty"));
-        for source in iter {
-            result.merge(&run_partition(cfg, zones, source));
-        }
-        return result;
-    }
-
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<ZonalResult>> = (0..sources.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= sources.len() {
-                    break;
-                }
-                let mut span = zonal_obs::span("partition");
-                span.arg("partition", i as u64);
-                let r = run_partition(cfg, zones, &sources[i]);
-                drop(span);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        while let Ok((i, r)) = rx.recv() {
-            results[i] = Some(r);
-        }
+    let mut results: Vec<(usize, ZonalResult)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(source) = sources.get(i) else {
+                            return done;
+                        };
+                        let mut span = zonal_obs::span("partition");
+                        span.arg("partition", i as u64);
+                        done.push((i, run_partition(cfg, zones, source)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
+    results.sort_unstable_by_key(|&(i, _)| i);
 
-    let mut iter = results
-        .into_iter()
-        .map(|r| r.expect("every partition produced a result"));
-    let mut result = iter.next().expect("nonempty");
-    for r in iter {
-        result.merge(&r);
+    let mut merged = ZonalResult {
+        hists: ZoneHistograms::new(zones.len(), cfg.n_bins),
+        timings: PipelineTimings::new(cfg.device),
+        counts: PipelineCounts::default(),
+    };
+    for (_, r) in &results {
+        merged.merge(r);
     }
-    result
+    merged
 }
 
 #[cfg(test)]
@@ -567,70 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_equivalence_suite() {
-        // The overlapped executor must be bit-identical to the serial
-        // schedule — histograms, counts, AND counted work — for every
-        // strip size × inflight depth combination.
-        let (zones, raster, grid) = simple_setup();
-        let src = raster.tile_source(&grid);
-        for strip_rows in [1usize, 3, 100] {
-            let mut serial_cfg = PipelineConfig::test().with_bins(8).with_inflight_strips(1);
-            serial_cfg.strip_rows = strip_rows;
-            let base = run_partition(&serial_cfg, &zones, &src);
-            for inflight in [1usize, 2, 4] {
-                let cfg = serial_cfg.with_inflight_strips(inflight);
-                let r = run_partition(&cfg, &zones, &src);
-                let tag = format!("strip_rows={strip_rows} inflight={inflight}");
-                assert_eq!(r.hists, base.hists, "{tag}: histograms");
-                assert_eq!(r.counts, base.counts, "{tag}: counts");
-                assert_eq!(
-                    r.timings.strips, base.timings.strips,
-                    "{tag}: per-strip work records"
-                );
-                for i in 0..5 {
-                    assert_eq!(
-                        r.timings.steps[i].cell_work, base.timings.steps[i].cell_work,
-                        "{tag}: step {i} cell work"
-                    );
-                    assert_eq!(
-                        r.timings.steps[i].fixed_work, base.timings.steps[i].fixed_work,
-                        "{tag}: step {i} fixed work"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn queue_capacity_clamps_small_budgets() {
-        // inflight 2 used to compute `2 - 2 = 0`; inflight 1 would have
-        // underflowed had the serial branch not short-circuited it. Both
-        // must now yield a positive capacity.
-        assert_eq!(queue_capacity(1), 1);
-        assert_eq!(queue_capacity(2), 1);
-        assert_eq!(queue_capacity(3), 1);
-        assert_eq!(queue_capacity(4), 2);
-        assert_eq!(queue_capacity(10), 8);
-    }
-
-    #[test]
-    fn smallest_inflight_budgets_run_to_completion() {
-        // End-to-end at inflight ∈ {1, 2} over several strips: 1 takes the
-        // serial branch, 2 exercises the clamped channel capacity.
-        let (zones, raster, grid) = simple_setup();
-        let src = raster.tile_source(&grid);
-        let mut base_cfg = PipelineConfig::test().with_bins(8).with_inflight_strips(1);
-        base_cfg.strip_rows = 1; // 5 strips
-        let base = run_partition(&base_cfg, &zones, &src);
-        assert!(base.timings.strips.len() > 2);
-        for inflight in [1usize, 2] {
-            let r = run_partition(&base_cfg.with_inflight_strips(inflight), &zones, &src);
-            assert_eq!(r.hists, base.hists, "inflight={inflight}");
-            assert_eq!(r.counts, base.counts, "inflight={inflight}");
-        }
-    }
-
-    #[test]
     fn step_totals_equal_strip_sums() {
         let (zones, raster, grid) = simple_setup();
         let mut cfg = PipelineConfig::test().with_bins(8);
@@ -686,6 +532,18 @@ mod tests {
         assert_eq!(pooled.timings.strips, serial.timings.strips);
         let whole = run_partition(&cfg, &zones, &raster.tile_source(&grid));
         assert_eq!(pooled.hists, whole.hists);
+    }
+
+    #[test]
+    fn run_partitions_over_no_partitions_is_empty() {
+        let (zones, _, _) = simple_setup();
+        let cfg = PipelineConfig::test().with_bins(8);
+        let r = run_partitions::<zonal_raster::SyntheticSrtm>(&cfg, &zones, &[]);
+        assert_eq!(r.hists, ZoneHistograms::new(zones.len(), 8));
+        assert_eq!(r.hists.n_rows(), 0);
+        assert_eq!(r.counts, PipelineCounts::default());
+        assert!(r.timings.strips.is_empty());
+        assert_eq!(r.timings.device, cfg.device);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Set `ZONAL_TRACE=out.json` to record the run as a Chrome trace
-//! (wall-clock decode/compute lanes plus simulated-device lanes; open
+//! (the wall-clock compute lane plus simulated-device lanes; open
 //! the file in Perfetto or `chrome://tracing`). See DESIGN.md
 //! §Observability.
 //!

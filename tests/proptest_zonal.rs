@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use zonal_histo::geo::{Point, Polygon, PolygonLayer, Ring};
-use zonal_histo::gpusim::DeviceSpec;
+use zonal_histo::gpusim::{DeviceSpec, KernelWork};
 use zonal_histo::raster::{GeoTransform, Raster, TileGrid};
 use zonal_histo::zonal::pipeline::{run_partition, Zones};
 use zonal_histo::zonal::stats::{stats_of_histogram, stats_of_window};
-use zonal_histo::zonal::{baseline, PipelineConfig, ZoneHistograms};
+use zonal_histo::zonal::{baseline, PipelineConfig, PipelineTimings, ZoneHistograms};
 
 /// Random layer of disjoint-ish circles and rectangles inside [0,8]×[0,6].
 /// Overlap is allowed — zonal histogramming is defined per zone, so zones
@@ -53,6 +53,21 @@ fn raster_strategy() -> impl Strategy<Value = Raster> {
             ((h >> 33) % 200) as u16
         })
     })
+}
+
+/// Launches of Steps 1, 3 and 4, which each launch once per strip.
+fn strip_launches(t: &PipelineTimings) -> [u64; 3] {
+    [
+        t.steps[1].fixed_work.launches,
+        t.steps[3].fixed_work.launches,
+        t.steps[4].cell_work.launches,
+    ]
+}
+
+/// Counted work apart from its launch count, which is the one term that
+/// depends on the strip size.
+fn sans_launches(w: KernelWork) -> KernelWork {
+    KernelWork { launches: 0, ..w }
 }
 
 proptest! {
@@ -114,30 +129,38 @@ proptest! {
     }
 
     #[test]
-    fn overlapped_executor_equals_serial_on_random_workloads(
+    fn strip_rows_match_one_strip_on_random_workloads(
         layer in layer_strategy(),
         raster in raster_strategy(),
         tile_cells in 3usize..12,
         strip_rows in 1usize..4,
-        inflight in 2usize..5,
     ) {
         let zones = Zones::new(layer);
         let grid = TileGrid::new(raster.rows(), raster.cols(), tile_cells, *raster.transform());
         let mut cfg = PipelineConfig::paper(DeviceSpec::gtx_titan()).with_bins(256);
         cfg.tile_deg = tile_cells as f64 * raster.transform().sx; // match grid
-        cfg.strip_rows = strip_rows;
         let src = raster.tile_source(&grid);
-        cfg.inflight_strips = 1; // serial reference executor
-        let serial = run_partition(&cfg, &zones, &src);
-        cfg.inflight_strips = inflight; // double-buffered streaming executor
-        let overlapped = run_partition(&cfg, &zones, &src);
-        prop_assert_eq!(&serial.hists, &overlapped.hists);
-        prop_assert_eq!(&serial.counts, &overlapped.counts);
-        // Same strips in the same order, with identical counted work.
-        prop_assert_eq!(&serial.timings.strips, &overlapped.timings.strips);
-        for (a, b) in serial.timings.steps.iter().zip(&overlapped.timings.steps) {
-            prop_assert_eq!(a.cell_work, b.cell_work);
-            prop_assert_eq!(a.fixed_work, b.fixed_work);
+        cfg.strip_rows = grid.tiles_y(); // every tile row in one strip
+        let whole = run_partition(&cfg, &zones, &src);
+        cfg.strip_rows = strip_rows;
+        let striped = run_partition(&cfg, &zones, &src);
+        prop_assert_eq!(&striped.hists, &whole.hists);
+        prop_assert_eq!(&striped.counts, &whole.counts);
+        let n_strips = grid.tiles_y().div_ceil(strip_rows) as u64;
+        prop_assert_eq!(striped.timings.strips.len() as u64, n_strips);
+        prop_assert_eq!(strip_launches(&striped.timings), [n_strips; 3]);
+        prop_assert_eq!(strip_launches(&whole.timings), [1; 3]);
+        for (i, (a, b)) in striped.timings.steps.iter().zip(&whole.timings.steps).enumerate() {
+            prop_assert_eq!(sans_launches(a.cell_work), sans_launches(b.cell_work), "step {}", i);
+            prop_assert_eq!(sans_launches(a.fixed_work), sans_launches(b.fixed_work), "step {}", i);
+        }
+        // The per-strip records sum to the step totals.
+        let strips = &striped.timings.strips;
+        for (i, step) in striped.timings.steps.iter().enumerate() {
+            let cell = strips.iter().fold(KernelWork::default(), |acc, s| acc.merge(&s.cell_work[i]));
+            let fixed = strips.iter().fold(KernelWork::default(), |acc, s| acc.merge(&s.fixed_work[i]));
+            prop_assert_eq!(cell, step.cell_work, "step {}", i);
+            prop_assert_eq!(fixed, step.fixed_work, "step {}", i);
         }
     }
 
