@@ -118,6 +118,29 @@ impl<'a> BitReader<'a> {
         self.avail -= n;
         v as u32
     }
+
+    /// The next `n` bits (n ≤ 56) without consuming them, or `None` if
+    /// fewer than `n` remain.
+    #[inline]
+    pub fn peek(&mut self, n: u32) -> Option<u64> {
+        debug_assert!(n <= 56);
+        if self.avail < n {
+            self.refill();
+            if self.avail < n {
+                return None;
+            }
+        }
+        Some(self.buf & ((1u64 << n) - 1))
+    }
+
+    /// Consume `n` bits that a [`peek`](Self::peek) of at least `n` bits
+    /// has just returned.
+    #[inline]
+    pub fn skip(&mut self, n: u32) {
+        assert!(n <= self.avail, "skip past the peeked bits");
+        self.buf >>= n;
+        self.avail -= n;
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +276,26 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         let err = std::panic::catch_unwind(move || r.get(1)).expect_err("read past the end");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"bitstream underrun"));
+    }
+
+    #[test]
+    fn peek_then_skip_matches_get() {
+        // 10 bytes: peeks inside the first word load, across the refill
+        // and against the byte-wise tail.
+        let bytes: Vec<u8> = (0..10u8).map(|i| i.wrapping_mul(73) ^ 0x5A).collect();
+        let mut peeking = BitReader::new(&bytes);
+        let mut getting = BitReader::new(&bytes);
+        for n in [3, 56, 1, 17] {
+            let peeked = peeking.peek(n).expect("bits remain");
+            assert_eq!(peeking.peek(n), Some(peeked), "peek consumes nothing");
+            peeking.skip(n);
+            let (a, b) = (getting.get(n.min(32)), getting.get(n.saturating_sub(32)));
+            assert_eq!(peeked, u64::from(a) | u64::from(b) << n.min(32), "{n} bits");
+            assert_eq!(peeking.position(), getting.position());
+        }
+        assert_eq!(peeking.remaining(), 3);
+        assert_eq!(peeking.peek(4), None, "past the end");
+        assert_eq!(peeking.peek(3), Some(u64::from(getting.get(3))));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! The encoder reuses one padded [`Bitmap`] per tile: it loads a plane,
 //! walks its quadtree, and reloads the bitmap for the next plane. The
-//! decoder holds no plane at all: [`PlaneCells`] ORs each leaf straight
-//! into the tile's cells as the stream is read.
+//! decoder walks each plane's quadtree into one `PlaneBuf` of the tile's
+//! 16 planes, then writes every cell once through a bit transpose. A plane
+//! whose bits equal the tile shape's all-ones stream, computed once per
+//! shape by the encoder's own `encode_region`, is consumed in one read.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::plane::{Bitmap, PlaneCells};
+use crate::plane::{block8, Bitmap, PlaneBuf};
 use bytes::{Buf, Bytes};
+use std::cell::RefCell;
 use zonal_raster::TileData;
 
 /// Node codes in the quadtree bitstream.
@@ -17,6 +20,9 @@ const CODE_MIXED: u32 = 2;
 
 /// Leaf side at which mixed regions switch to literal bitmaps.
 const LITERAL_SIDE: usize = 4;
+
+/// Side of the nodes whose rows are whole bytes of a [`PlaneBuf`] group.
+const BLOCK_SIDE: usize = 2 * LITERAL_SIDE;
 
 /// Number of bitplanes in a `u16` tile.
 const PLANES: u32 = 16;
@@ -40,45 +46,85 @@ fn encode_region(bm: &Bitmap, w: &mut BitWriter, r0: usize, c0: usize, size: usi
     }
 }
 
+/// Decode the node of the aligned `size` square at `(r0, c0)` into bit
+/// `plane` of `planes`.
 fn decode_region(
-    cells: &mut PlaneCells<'_>,
+    planes: &mut PlaneBuf,
+    plane: usize,
     r: &mut BitReader<'_>,
     r0: usize,
     c0: usize,
     size: usize,
 ) {
-    if size == LITERAL_SIDE {
-        return decode_literal_node(cells, r, r0, c0);
-    }
-    match r.get(2) {
-        CODE_ZERO => {}
-        CODE_ONE => cells.fill_ones(r0, c0, size),
-        CODE_MIXED => {
-            let h = size / 2;
-            for (dr, dc) in [(0, 0), (0, h), (h, 0), (h, h)] {
-                // Most nodes sit at the literal level. A small
-                // non-recursive decoder handles them, since a full
-                // recursive call costs about as much as the node's work.
-                if h == LITERAL_SIDE {
-                    decode_literal_node(cells, r, r0 + dr, c0 + dc);
-                } else {
-                    decode_region(cells, r, r0 + dr, c0 + dc, h);
+    match size {
+        // Only a tile of at most 4×4 cells has a literal-level root; it is
+        // the top-left quadrant of a block.
+        LITERAL_SIDE => {
+            let literal = decode_literal_node(r);
+            planes.set_block8(plane, r0, c0, block8([literal, 0, 0, 0]));
+        }
+        BLOCK_SIDE => decode_block_node(planes, plane, r, r0, c0),
+        _ => match r.get(2) {
+            CODE_ZERO => {}
+            CODE_ONE => planes.fill_ones(plane, r0, c0, size),
+            CODE_MIXED => {
+                let h = size / 2;
+                for (dr, dc) in [(0, 0), (0, h), (h, 0), (h, h)] {
+                    // Most nodes sit at or below the block level, where a
+                    // full recursive call costs about as much as the
+                    // node's work.
+                    if h == BLOCK_SIDE {
+                        decode_block_node(planes, plane, r, r0 + dr, c0 + dc);
+                    } else {
+                        decode_region(planes, plane, r, r0 + dr, c0 + dc, h);
+                    }
                 }
             }
-        }
-        other => corrupt_code(other),
+            other => corrupt_code(other),
+        },
     }
 }
 
-/// A node at literal size: a uniform leaf, or code 2 and a 4×4 literal.
-#[inline]
-fn decode_literal_node(cells: &mut PlaneCells<'_>, r: &mut BitReader<'_>, r0: usize, c0: usize) {
-    match r.get(2) {
-        CODE_ZERO => {}
-        CODE_ONE => cells.fill_ones(r0, c0, LITERAL_SIDE),
-        CODE_MIXED => cells.or_literal16(r0, c0, r.get(16) as u16),
+/// An 8×8 node: a uniform leaf, or code 2 and four literal-level nodes,
+/// stored as one byte per row.
+#[inline(always)]
+fn decode_block_node(
+    planes: &mut PlaneBuf,
+    plane: usize,
+    r: &mut BitReader<'_>,
+    r0: usize,
+    c0: usize,
+) {
+    let block = match r.get(2) {
+        CODE_ZERO => return,
+        CODE_ONE => u64::MAX,
+        CODE_MIXED => block8([(); 4].map(|()| decode_literal_node(r))),
         other => corrupt_code(other),
+    };
+    planes.set_block8(plane, r0, c0, block);
+}
+
+/// A node at literal size as its 4×4 bits: none set for code 0, all for
+/// code 1, the 16 literal bits after code 2. While 18 bits remain, it
+/// decodes without branching on the code, which is data and mispredicts.
+#[inline(always)]
+fn decode_literal_node(r: &mut BitReader<'_>) -> u16 {
+    let Some(bits) = r.peek(2 + 16) else {
+        return match r.get(2) {
+            CODE_ZERO => 0,
+            CODE_ONE => u16::MAX,
+            CODE_MIXED => r.get(16) as u16,
+            other => corrupt_code(other),
+        };
+    };
+    let code = (bits & 3) as u32;
+    if code > CODE_MIXED {
+        corrupt_code(code);
     }
+    let mixed = code == CODE_MIXED;
+    r.skip(2 + 16 * u32::from(mixed));
+    let literal = (bits >> 2) as u16 & 0u16.wrapping_sub(u16::from(mixed));
+    literal | 0u16.wrapping_sub(u16::from(code == CODE_ONE))
 }
 
 #[cold]
@@ -136,8 +182,8 @@ pub fn decode_tile(data: &[u8]) -> TileData {
 }
 
 /// Decode a tile previously produced by [`encode_tile`] into `values`,
-/// which must be all zero and hold exactly the header's `rows × cols`
-/// cells (the decoder ORs each plane's bits in).
+/// which must hold exactly the header's `rows × cols` cells. Every cell is
+/// overwritten.
 pub(crate) fn decode_tile_into(mut data: &[u8], values: &mut [u16]) {
     let (rows, cols) = header(&mut data);
     assert_eq!(
@@ -145,13 +191,74 @@ pub(crate) fn decode_tile_into(mut data: &[u8], values: &mut [u16]) {
         rows * cols,
         "BQ-Tree tile header {rows}x{cols} does not match its buffer"
     );
-    debug_assert!(values.iter().all(|&v| v == 0), "decode target not zeroed");
     let side = Bitmap::side_for(rows, cols);
-    let mut r = BitReader::new(data);
-    for plane in 0..PLANES {
-        let mut cells = PlaneCells::new(values, rows, cols, plane);
-        decode_region(&mut cells, &mut r, 0, 0, side);
+    DECODER.with_borrow_mut(|d| {
+        let ones = d.ones_stream(rows, cols);
+        d.planes.reset(rows, cols);
+        let mut r = BitReader::new(data);
+        let mut ones_mask = 0u16;
+        for plane in 0..PLANES as usize {
+            if let Some((bits, len)) = ones {
+                if r.peek(len) == Some(bits) {
+                    r.skip(len);
+                    ones_mask |= 1 << plane;
+                    continue;
+                }
+            }
+            decode_region(&mut d.planes, plane, &mut r, 0, 0, side);
+        }
+        d.planes.write_cells(values, ones_mask);
+    });
+}
+
+/// Longest all-ones stream [`BitReader::peek`] can compare in one read.
+const MAX_ONES_BITS: usize = 56;
+
+/// One thread's decode scratch, kept across tiles.
+#[derive(Debug, Default)]
+struct Decoder {
+    planes: PlaneBuf,
+    /// The last shape decoded and its [`ones_stream`]; (0, 0) has none.
+    shape: (usize, usize),
+    ones: Option<(u64, u32)>,
+}
+
+impl Decoder {
+    fn ones_stream(&mut self, rows: usize, cols: usize) -> Option<(u64, u32)> {
+        if self.shape != (rows, cols) {
+            self.shape = (rows, cols);
+            self.ones = ones_stream(rows, cols);
+        }
+        self.ones
     }
+}
+
+thread_local! {
+    static DECODER: RefCell<Decoder> = RefCell::default();
+}
+
+/// The encoded plane of a `rows × cols` tile whose cells all have the bit
+/// set, as `(bits, length)`, when it is at most [`MAX_ONES_BITS`] long.
+/// Shapes whose padded square exceeds 16 times their cells are skipped:
+/// the bitmap would outgrow the tile, and their ragged edge makes the
+/// stream far longer than a peek anyway.
+fn ones_stream(rows: usize, cols: usize) -> Option<(u64, u32)> {
+    let side = Bitmap::side_for(rows, cols);
+    if rows == 0 || cols == 0 || side * side > 16 * rows * cols {
+        return None;
+    }
+    let mut bm = Bitmap::zero(side);
+    bm.load_plane(&vec![1; rows * cols], rows, cols, 0);
+    let mut w = BitWriter::new();
+    encode_region(&bm, &mut w, 0, 0, side);
+    let len = w.bit_len();
+    if len > MAX_ONES_BITS {
+        return None;
+    }
+    let mut word = [0u8; 8];
+    let bytes = w.finish();
+    word[..bytes.len()].copy_from_slice(&bytes);
+    Some((u64::from_le_bytes(word), len as u32))
 }
 
 #[cfg(test)]
@@ -252,6 +359,53 @@ mod tests {
             })
             .collect();
         roundtrip(&TileData::new(values, rows, cols));
+    }
+
+    #[test]
+    fn decode_overwrites_a_dirty_buffer() {
+        // A ragged tile with NODATA (all-ones planes) and noise, and a
+        // power-of-two one: no cell may keep what the target held.
+        let mut state = 0x2545_F491_u32;
+        let ragged: Vec<u16> = (0..12 * 5)
+            .map(|i| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                if i % 3 == 0 {
+                    u16::MAX
+                } else {
+                    (state >> 16) as u16
+                }
+            })
+            .collect();
+        let tiles = [
+            TileData::new(ragged, 12, 5),
+            TileData::new((0..256u16).map(|i| i * 7).collect(), 16, 16),
+            TileData::filled(0, 6, 6),
+        ];
+        for tile in &tiles {
+            let enc = encode_tile(tile);
+            for dirt in [0xFFFF, 0xA5A5] {
+                let mut values = vec![dirt; tile.len()];
+                decode_tile_into(&enc, &mut values);
+                assert_eq!(values, decode_tile(&enc).values, "dirt {dirt:#x}");
+                assert_eq!(values, tile.values);
+            }
+        }
+    }
+
+    #[test]
+    fn ones_stream_is_the_encoded_all_ones_plane() {
+        // 12×12 (the 120-cpd tile) fits a peek; 6×6 (60 cpd) needs 58
+        // bits, a 12×5 edge tile two literals, and a thin 1×100 tile is
+        // skipped.
+        for (rows, cols) in [(12, 12), (16, 16), (8, 12)] {
+            let enc = encode_tile(&TileData::filled(1, rows, cols));
+            let (bits, len) = ones_stream(rows, cols).expect("fits a peek");
+            let mut r = BitReader::new(&enc[4..]);
+            assert_eq!(r.peek(len), Some(bits), "{rows}x{cols}");
+        }
+        assert_eq!(ones_stream(6, 6), None);
+        assert_eq!(ones_stream(12, 5), None);
+        assert_eq!(ones_stream(1, 100), None);
     }
 
     #[test]

@@ -126,17 +126,22 @@ pub fn read_bq<R: Read>(r: &mut R) -> Result<BqRaster, BqFileError> {
             grid.n_tiles()
         )));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
+    // Pushed as read, not reserved from the header's count, and the blobs
+    // read through `take`: a corrupt count or offset then fails as a
+    // short read instead of asking for its size in memory up front.
+    let mut offsets = Vec::new();
     for _ in 0..=n {
         offsets.push(u64::from_le_bytes(read_arr::<8>(r)?));
     }
     if offsets[0] != 0 || offsets.windows(2).any(|w| w[1] < w[0]) {
         return Err(BqFileError::Corrupt("offset table not monotone".into()));
     }
-    let total = offsets[n] as usize;
-    let mut blob = vec![0u8; total];
-    r.read_exact(&mut blob)
-        .map_err(|_| BqFileError::Corrupt("truncated blobs".into()))?;
+    let total = offsets[n];
+    let mut blob = Vec::new();
+    r.take(total).read_to_end(&mut blob)?;
+    if blob.len() as u64 != total {
+        return Err(BqFileError::Corrupt("truncated blobs".into()));
+    }
     let blob = Bytes::from(blob);
     let tiles = (0..n)
         .map(|i| blob.slice(offsets[i] as usize..offsets[i + 1] as usize))
@@ -170,6 +175,10 @@ mod tests {
         let grid = TileGrid::new(40, 55, 16, gt);
         compress_source(&SyntheticSrtm::new(grid, 7))
     }
+
+    /// Bytes before the offset table: magic, version, shape, geotransform
+    /// and tile count.
+    const HEADER_BYTES: usize = 4 + 4 + 3 * 8 + 4 * 8 + 8;
 
     #[test]
     fn memory_roundtrip() {
@@ -218,6 +227,22 @@ mod tests {
         assert!(matches!(
             read_bq(&mut buf.as_slice()),
             Err(BqFileError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_last_offset_is_corrupt() {
+        // A last offset of 2^50 bytes must fail as a short read, not as an
+        // allocation of that size.
+        let bq = sample();
+        let mut buf = Vec::new();
+        write_bq(&mut buf, &bq).expect("write");
+        let n = bq.grid_ref().n_tiles();
+        let last = HEADER_BYTES + 8 * n;
+        buf[last..last + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        assert!(matches!(
+            read_bq(&mut buf.as_slice()),
+            Err(BqFileError::Corrupt(m)) if m == "truncated blobs"
         ));
     }
 

@@ -23,11 +23,13 @@
 //! and cropped on decode, so any tile shape round-trips exactly.
 //!
 //! The host codec works a word at a time ([`bits`], [`plane`]): the bit
-//! streams move 64-bit words, the encoder tests regions with one masked
-//! word per row, and the decoder ORs each leaf straight into the tile's
-//! cells. The bytes it writes are pinned by golden digests of the whole
-//! catalog, so `ZBQT` files and the compression ratios do not depend on
-//! how the host gets there.
+//! streams move 64-bit words, and the encoder tests regions with one
+//! masked word per row. The decoder sets each leaf's bits in a buffer of
+//! all 16 planes, one byte per cell row and 8-column group and plane, and
+//! then writes each cell once through an 8×8 bit transpose. The bytes the
+//! encoder writes are pinned by golden digests of the whole catalog, so
+//! `ZBQT` files and the compression ratios do not depend on how the host
+//! gets there.
 
 pub mod bits;
 pub mod codec;

@@ -7,10 +7,13 @@
 //! masked word operation per row, at every region size. Loading a plane
 //! gathers bit `plane` of four cells per multiply.
 //!
-//! Decoding never builds a plane. [`PlaneCells`] ORs each quadtree leaf
-//! straight into the `u16` cells it covers, cropped to the tile: a one-leaf
-//! is a run of cells per row, a literal is four 4-bit row nibbles spread
-//! onto four cells each, and a zero-leaf writes nothing.
+//! Decoding never builds a padded plane. `PlaneBuf` holds all 16 planes
+//! of the tile's own cells, 16 bytes per cell row and 8-column group (about
+//! 2 bytes per cell): every quadtree node of side 8 or more covers whole
+//! bytes of it, so a one-leaf stores `0xFF` per row and group, a mixed 8×8
+//! node stores its four 4×4 literals as one byte per row, and a zero-leaf
+//! writes nothing. Each group then becomes its 8 cells through two 8×8 bit
+//! transposes, so a cell is written once per tile, not once per plane.
 
 /// A `side × side` binary image (side a power of two), bit-packed per row
 /// into `u64` words. Bit `(r, c)` is word `r * words_per_row + c/64`, bit
@@ -135,90 +138,136 @@ impl Bitmap {
     }
 }
 
-/// `SPREAD4[n][k]` is bit `k` of nibble `n`: a literal row as four cells.
-static SPREAD4: [[u16; 4]; 16] = {
-    let mut table = [[0u16; 4]; 16];
-    let mut n = 0;
-    while n < 16 {
-        let mut k = 0;
-        while k < 4 {
-            table[n][k] = ((n >> k) & 1) as u16;
-            k += 1;
-        }
-        n += 1;
-    }
-    table
-};
-
-/// One bitplane being decoded into a row-major `u16` tile. Each leaf ORs
-/// bit `plane` into the cells of its region that lie inside the tile; the
-/// padding is never stored. The cells must hold zero in this plane's bit
-/// beforehand, so a tile decodes by running every plane over one zeroed
-/// buffer.
-#[derive(Debug)]
-pub struct PlaneCells<'a> {
-    values: &'a mut [u16],
+/// A tile's 16 bitplanes as the decoder reads them, bounded by the tile:
+/// for each cell row and 8-column group, 16 bytes, byte `p` holding plane
+/// `p` of the group's cells (bit `k` is column `8g + k`). Leaves set bits
+/// here, one byte per row per group; [`PlaneBuf::write_cells`] then turns
+/// each group's two 8-plane words into its 8 cells with a bit transpose,
+/// so every cell is written once, not once per plane. Leaves are cropped
+/// to the tile's rows and groups; bits of the padding columns inside the
+/// last group are never written out.
+#[derive(Debug, Default)]
+pub(crate) struct PlaneBuf {
+    /// `rows × width` groups, row-major.
+    groups: Vec<[u8; 16]>,
     rows: usize,
     cols: usize,
-    plane: u32,
+    /// 8-column groups per row.
+    width: usize,
 }
 
-impl<'a> PlaneCells<'a> {
-    pub fn new(values: &'a mut [u16], rows: usize, cols: usize, plane: u32) -> Self {
-        assert_eq!(values.len(), rows * cols);
-        debug_assert!(plane < 16);
-        PlaneCells {
-            values,
-            rows,
-            cols,
-            plane,
-        }
+/// The four 4×4 [`Bitmap::literal16`]s of an 8×8 region, in quadrant order
+/// (top-left, top-right, bottom-left, bottom-right), as one byte per row.
+#[inline]
+pub(crate) fn block8(literals: [u16; 4]) -> u64 {
+    // Row nibble `k` of a literal to the low half of byte `k`.
+    let spread = |x: u16| {
+        let x = u64::from(x);
+        let x = (x | x << 8) & 0x00FF_00FF;
+        (x | x << 4) & 0x0F0F_0F0F
+    };
+    let [tl, tr, bl, br] = literals.map(spread);
+    (tl | tr << 4) | (bl | br << 4) << 32
+}
+
+/// Transpose an 8×8 bit matrix held row by row in the bytes of a word:
+/// bit `k` of byte `p` moves to bit `p` of byte `k`. Three delta-swaps
+/// exchange the off-diagonal 1×1, 2×2 and 4×4 blocks.
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// The 8 cells of one group: cell `k` takes plane `p` from bit `k` of
+/// byte `p`, and every plane of `ones`.
+#[inline]
+fn group_cells(group: &[u8; 16], ones: u16) -> [u16; 8] {
+    let (lo, hi) = group.split_at(8);
+    let lo = transpose8(u64::from_le_bytes(lo.try_into().expect("8 bytes")));
+    let hi = transpose8(u64::from_le_bytes(hi.try_into().expect("8 bytes")));
+    let ones = u64::from(ones) * 0x0001_0001_0001_0001;
+    let quad = |shift: u32| widen(lo >> shift) | widen(hi >> shift) << 8 | ones;
+    let (a, b) = (quad(0), quad(32));
+    std::array::from_fn(|k| ((if k < 4 { a } else { b }) >> (16 * (k % 4))) as u16)
+}
+
+/// The low 4 bytes of `x`, each in the low byte of a 16-bit lane.
+#[inline]
+fn widen(x: u64) -> u64 {
+    let x = x & 0xFFFF_FFFF;
+    let x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    (x | x << 8) & 0x00FF_00FF_00FF_00FF
+}
+
+impl PlaneBuf {
+    /// Clear the buffer for a `rows × cols` tile: every plane bit zero.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        let width = cols.div_ceil(8);
+        self.groups.clear();
+        self.groups.resize(rows * width, [0; 16]);
+        (self.rows, self.cols, self.width) = (rows, cols, width);
     }
 
-    /// The rows and columns of the square region at `(r0, c0)` that lie
-    /// inside the tile, or `None` if it is all padding.
+    /// The tile rows of the square region at `(r0, c0)`, or `None` if it
+    /// is all padding.
     #[inline]
-    fn crop(&self, r0: usize, c0: usize, size: usize) -> Option<(usize, usize)> {
-        (r0 < self.rows && c0 < self.cols)
-            .then(|| ((self.rows - r0).min(size), (self.cols - c0).min(size)))
+    fn rows_in(&self, r0: usize, c0: usize, size: usize) -> Option<usize> {
+        (r0 < self.rows && c0 < self.cols).then(|| (self.rows - r0).min(size))
     }
 
-    /// Set the plane's bit in every tile cell of the square region.
+    /// Set bit `plane` of every tile cell of the aligned square region.
     #[inline]
-    pub fn fill_ones(&mut self, r0: usize, c0: usize, size: usize) {
-        let Some((h, w)) = self.crop(r0, c0, size) else {
+    pub fn fill_ones(&mut self, plane: usize, r0: usize, c0: usize, size: usize) {
+        debug_assert!(size >= 8 && c0.is_multiple_of(8));
+        let Some(h) = self.rows_in(r0, c0, size) else {
             return;
         };
-        let bit = 1u16 << self.plane;
-        let cols = self.cols;
-        for row in self.values[r0 * cols..(r0 + h) * cols].chunks_exact_mut(cols) {
-            for v in &mut row[c0..c0 + w] {
-                *v |= bit;
+        let w = self.width;
+        let (g0, g1) = (c0 / 8, (c0 / 8 + size / 8).min(w));
+        for row in r0..r0 + h {
+            for group in &mut self.groups[row * w + g0..row * w + g1] {
+                group[plane] = 0xFF;
             }
         }
     }
 
-    /// OR a [`Bitmap::literal16`] into the tile cells of the 4×4 region at
-    /// `(r0, c0)`, one row nibble at a time.
+    /// Store bit `plane` of the 8×8 region at `(r0, c0)` from a
+    /// [`block8`]: byte `k` is region row `k`.
     #[inline]
-    pub fn or_literal16(&mut self, r0: usize, c0: usize, bits: u16) {
-        match self.crop(r0, c0, 4) {
-            // Most literals lie wholly inside the tile; the constant extent
-            // lets the row loops unroll.
-            Some((4, 4)) => self.or_literal_rows(r0, c0, bits, 4, 4),
-            Some((h, w)) => self.or_literal_rows(r0, c0, bits, h, w),
-            None => {}
+    pub fn set_block8(&mut self, plane: usize, r0: usize, c0: usize, block: u64) {
+        let Some(h) = self.rows_in(r0, c0, 8) else {
+            return;
+        };
+        let w = self.width;
+        for (k, row) in (r0..r0 + h).enumerate() {
+            self.groups[row * w + c0 / 8][plane] = (block >> (8 * k)) as u8;
         }
     }
 
-    #[inline(always)]
-    fn or_literal_rows(&mut self, r0: usize, c0: usize, bits: u16, h: usize, w: usize) {
-        let cols = self.cols;
-        for dr in 0..h {
-            let start = (r0 + dr) * cols + c0;
-            let spread = &SPREAD4[usize::from((bits >> (dr * 4)) & 0xF)];
-            for (v, &b) in self.values[start..start + w].iter_mut().zip(spread) {
-                *v |= b << self.plane;
+    /// Write every cell of the `rows × cols` tile: plane `p` from its
+    /// group's byte `p`, and every plane of `ones` set.
+    pub fn write_cells(&self, values: &mut [u16], ones: u16) {
+        assert_eq!(values.len(), self.rows * self.cols);
+        if values.is_empty() {
+            return;
+        }
+        let rows = self.groups.chunks_exact(self.width);
+        for (groups, out) in rows.zip(values.chunks_exact_mut(self.cols)) {
+            // Whole groups store 8 cells at once; only the last may be cut.
+            let (whole, tail) = out.as_chunks_mut::<8>();
+            let n = whole.len();
+            for (group, cells) in groups.iter().zip(whole) {
+                *cells = group_cells(group, ones);
+            }
+            if let Some(group) = groups.get(n) {
+                for (cell, v) in tail.iter_mut().zip(group_cells(group, ones)) {
+                    *cell = v;
+                }
             }
         }
     }
@@ -328,42 +377,64 @@ mod tests {
     }
 
     #[test]
-    fn plane_cells_fill_crops_to_the_tile() {
-        // A 5×7 tile padded to 8: leaves overlapping the padding write only
-        // the cells inside the tile, and all-padding leaves write nothing.
-        let (rows, cols) = (5, 7);
-        for (r0, c0, size) in [(0, 0, 8), (4, 4, 4), (4, 0, 4), (0, 4, 4), (6, 6, 2)] {
-            let mut values = vec![0u16; rows * cols];
-            PlaneCells::new(&mut values, rows, cols, 9).fill_ones(r0, c0, size);
-            for r in 0..rows {
-                for c in 0..cols {
-                    let inside = (r0..r0 + size).contains(&r) && (c0..c0 + size).contains(&c);
-                    let want = if inside { 1 << 9 } else { 0 };
-                    assert_eq!(
-                        values[r * cols + c],
-                        want,
-                        "({r0},{c0},{size}) at ({r},{c})"
-                    );
+    fn plane_buf_fill_crops_to_the_tile() {
+        // Tiles padded to 8 and 32: leaves overlapping the padding set only
+        // the cells inside the tile, all-padding leaves set nothing, and
+        // every other cell is written as zero.
+        let cases = [
+            ((5, 7), vec![(0, 0, 8)]),
+            (
+                (3, 20),
+                vec![(0, 0, 32), (0, 16, 16), (0, 8, 8), (0, 24, 8), (8, 0, 8)],
+            ),
+            ((20, 3), vec![(16, 0, 16), (0, 8, 8)]),
+        ];
+        let mut planes = PlaneBuf::default();
+        for ((rows, cols), leaves) in cases {
+            for (r0, c0, size) in leaves {
+                planes.reset(rows, cols);
+                planes.fill_ones(9, r0, c0, size);
+                let mut values = vec![0xA5A5u16; rows * cols];
+                planes.write_cells(&mut values, 0);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let inside = (r0..r0 + size).contains(&r) && (c0..c0 + size).contains(&c);
+                        let want = if inside { 1 << 9 } else { 0 };
+                        assert_eq!(
+                            values[r * cols + c],
+                            want,
+                            "{rows}x{cols} ({r0},{c0},{size}) at ({r},{c})"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn plane_cells_literal_roundtrips_through_bitmap() {
-        // Literals read from a bitmap and written back as cells reproduce
-        // it, including one that straddles the tile's last row and column.
-        let (rows, cols) = (6, 7);
+    fn plane_buf_literal_roundtrips_through_bitmap() {
+        // Literals read from a bitmap and written back as 8×8 blocks
+        // reproduce it, including blocks that straddle the tile's last
+        // rows and columns.
+        let (rows, cols) = (11, 13);
         let values: Vec<u16> = (0..rows * cols).map(|i| (i * 40503) as u16).collect();
-        let mut bm = Bitmap::zero(8);
-        let mut recon = vec![0u16; rows * cols];
+        let mut bm = Bitmap::zero(16);
+        let mut planes = PlaneBuf::default();
+        planes.reset(rows, cols);
         for plane in 0..16 {
             bm.load_plane(&values, rows, cols, plane);
-            let mut cells = PlaneCells::new(&mut recon, rows, cols, plane);
-            for (r0, c0) in [(0, 0), (0, 4), (4, 0), (4, 4)] {
-                cells.or_literal16(r0, c0, bm.literal16(r0, c0));
+            for (r0, c0) in [(0, 0), (0, 8), (8, 0), (8, 8)] {
+                let quadrants = [(0, 0), (0, 4), (4, 0), (4, 4)];
+                let literals = quadrants.map(|(dr, dc)| bm.literal16(r0 + dr, c0 + dc));
+                planes.set_block8(plane as usize, r0, c0, block8(literals));
             }
         }
+        let mut recon = vec![0u16; rows * cols];
+        planes.write_cells(&mut recon, 0);
         assert_eq!(recon, values);
+        // Planes in `ones` read as set whatever the buffer holds.
+        planes.write_cells(&mut recon, 0x8001);
+        let want: Vec<u16> = values.iter().map(|v| v | 0x8001).collect();
+        assert_eq!(recon, want);
     }
 }

@@ -97,7 +97,7 @@ impl TileSource for BqRaster {
         decode_tile(self.encoded_tile(tx, ty))
     }
 
-    /// Each tile decoded into its segment of one zeroed strip buffer.
+    /// Each tile decoded into its segment of one strip buffer.
     fn strip(&self, tile_rows: Range<usize>) -> TileStrip {
         let first = tile_rows.start * self.grid.tiles_x();
         let mut strip = TileStrip::zeroed(&self.grid, tile_rows);

@@ -162,9 +162,13 @@ proptest! {
 
 /// Shapes whose rows end inside, on and across 64-bit word boundaries,
 /// and whose padding is a few cells, a whole word, or most of the square.
-const WORD_BOUNDARY_SHAPES: [(usize, usize); 8] = [
+/// (6, 6) is the 60-cpd tile, (12, 12) the 120-cpd one and (12, 5) a
+/// ragged 120-cpd edge tile.
+const WORD_BOUNDARY_SHAPES: [(usize, usize); 10] = [
     (1, 1),
     (4, 4),
+    (6, 6),
+    (12, 5),
     (12, 12),
     (63, 64),
     (64, 65),
@@ -183,7 +187,9 @@ fn word_boundary_shapes_roundtrip() {
                 (state >> 16) as u16
             })
             .collect();
-        for values in [noise, vec![1234; rows * cols], vec![u16::MAX; rows * cols]] {
+        let n = rows * cols;
+        // 0x0F0F mixes all-ones and all-zero planes in one tile.
+        for values in [noise, vec![1234; n], vec![0x0F0F; n], vec![u16::MAX; n]] {
             let tile = TileData::new(values, rows, cols);
             let enc = encode_tile(&tile);
             assert_eq!(decode_tile(&enc), tile, "{rows}x{cols}");
