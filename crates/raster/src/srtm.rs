@@ -14,16 +14,8 @@
 //!   and is the oracle for the block generator below.
 //! * [`SyntheticSrtm`] — a [`TileSource`] that materializes tiles of that
 //!   terrain on demand, so experiments never hold a full raster in memory.
-//!   Tiles, strips of tile rows and whole rasters come from one block
-//!   generator that fills the block row by row: each noise octave's
-//!   lattice coordinates are computed once per column and once per row,
-//!   and its lattice corners are hashed once per lattice cell rather than
-//!   once per raster cell. The terrain octaves span many cells, so a small
-//!   tile hashes each of them only a few times, and a strip, generated as
-//!   one block across the raster's width, shares those hashes between
-//!   neighbouring tiles. Every cell goes through the same floating-point
-//!   expressions, in the same order, as [`elevation`], so the output is
-//!   bit-identical to it.
+//!   Tiles, strips and whole rasters come from one block generator,
+//!   bit-identical to [`elevation`]; see `SyntheticSrtm::block_rows`.
 //! * [`SrtmCatalog`] — a reconstruction of the paper's Table 1: six
 //!   disjoint rasters covering a CONUS-plus-margin region whose cell counts
 //!   sum to **exactly 20,165,760,000** at 3600 cells/degree, with the 36-way
@@ -209,16 +201,24 @@ const MICRO: Field = Field {
 /// Every field, in the order a cell evaluates them.
 const FIELDS: [Field; 4] = [CONTINENT, RANGE, TERRAIN, MICRO];
 
-/// Octaves over all of [`FIELDS`].
-const OCTAVES: usize = {
-    let mut n = 0;
+/// The indices of `FIELDS[f]`'s octaves in the octave table.
+const fn field_octaves(f: usize) -> Range<usize> {
+    let mut start = 0;
     let mut i = 0;
-    while i < FIELDS.len() {
-        n += FIELDS[i].octaves as usize;
+    while i < f {
+        start += FIELDS[i].octaves as usize;
         i += 1;
     }
-    n
-};
+    start..start + FIELDS[f].octaves as usize
+}
+
+const CONTINENT_OCTAVES: Range<usize> = field_octaves(0);
+const RANGE_OCTAVES: Range<usize> = field_octaves(1);
+const TERRAIN_OCTAVES: Range<usize> = field_octaves(2);
+const MICRO_OCTAVES: Range<usize> = field_octaves(3);
+
+/// Octaves over all of [`FIELDS`].
+const OCTAVES: usize = MICRO_OCTAVES.end;
 
 /// Fraction of the continent-noise range treated as water.
 const OCEAN_LEVEL: f64 = 0.40;
@@ -280,57 +280,128 @@ fn octave_table(seed: u64) -> ([Octave; OCTAVES], [f64; FIELDS.len()]) {
     (table, norms)
 }
 
-/// One octave's lattice state along a block row: the current lattice row,
-/// its two row hashes, and the corners of the last lattice cell used.
-#[derive(Debug, Clone, Copy, Default)]
-struct Lattice {
-    row: Option<i64>,
-    fy: f64,
-    hashes: [u64; 2],
-    col: Option<i64>,
+/// A maximal run `start..end` of block columns whose lattice column in
+/// one octave is `ix`: on any row they share that octave's four corners,
+/// which the segment keeps for the lattice row `iy` they were hashed on.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    ix: i64,
+    start: usize,
+    end: usize,
+    iy: Option<i64>,
     corners: [f64; 4],
 }
 
-impl Lattice {
-    /// Enter a block row at lattice coordinate `y`. The row hashes and the
-    /// cached corners survive while the lattice row does.
-    #[inline]
-    fn set_row(&mut self, y: Axis) {
-        self.fy = y.f;
-        if self.row != Some(y.i) {
-            self.row = Some(y.i);
-            self.hashes = [row_hash(y.i), row_hash(y.i + 1)];
-            self.col = None;
-        }
-    }
-
-    /// The octave's noise at lattice coordinate `x` on the current row:
-    /// [`value_noise`], with corners hashed only when the lattice cell
-    /// changes, and two of them carried over on a step to the next cell.
-    #[inline]
-    fn noise(&mut self, seed: u64, x: Axis) -> f64 {
-        if self.col != Some(x.i) {
-            self.corners = if self.col == Some(x.i.wrapping_sub(1)) {
-                let [_, v10, _, v11] = self.corners;
-                let [r0, r1] = self.hashes;
-                [
-                    v10,
-                    corner(seed, x.i + 1, r0),
-                    v11,
-                    corner(seed, x.i + 1, r1),
-                ]
-            } else {
-                corners(seed, x.i, self.hashes)
-            };
-            self.col = Some(x.i);
-        }
-        blend(self.corners, x.f, self.fy)
-    }
+/// The block generator's working memory, kept per thread so that a call
+/// allocates nothing but its output.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Every octave's faded column fraction, octave-major: octave `o` of
+    /// block column `c` is at `o * cols + c`.
+    fx: Vec<f64>,
+    /// The micro-relief octaves' lattice columns, octave-major from the
+    /// first of them (the other octaves' are in their segments).
+    ix: Vec<i64>,
+    /// The column segments of every octave before the micro-relief's.
+    segments: [Vec<Segment>; MICRO_OCTAVES.start],
+    /// One block row's octave sums per field, in [`FIELDS`] order; the
+    /// fields after the continent are summed on land columns only.
+    sums: [Vec<f64>; FIELDS.len()],
+    /// The row's land spans: maximal column ranges not under water.
+    spans: Vec<Range<usize>>,
+    /// The row's cells, handed to the caller.
+    row: Vec<u16>,
 }
 
 thread_local! {
-    /// Per-column lattice coordinates of every octave, `OCTAVES` per column.
-    static COLUMNS: RefCell<Vec<Axis>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Lay out every octave's lattice column and fade, and the segments,
+    /// for the raster columns `cols` under transform `gt`.
+    fn lay_out(&mut self, octaves: &[Octave; OCTAVES], gt: &GeoTransform, cols: Range<usize>) {
+        self.fx.clear();
+        self.ix.clear();
+        for (o, oct) in octaves.iter().enumerate() {
+            // `None` for the micro-relief octaves, which have no segments.
+            let mut segments = self.segments.get_mut(o);
+            if let Some(segments) = segments.as_deref_mut() {
+                segments.clear();
+            }
+            for (c, col) in cols.clone().enumerate() {
+                let x = axis((gt.cell_center(0, col).x * oct.scale) * oct.freq);
+                self.fx.push(x.f);
+                match segments.as_deref_mut() {
+                    None => self.ix.push(x.i),
+                    Some(segments) => match segments.last_mut() {
+                        Some(s) if s.ix == x.i => s.end = c + 1,
+                        _ => segments.push(Segment {
+                            ix: x.i,
+                            start: c,
+                            end: c + 1,
+                            iy: None,
+                            corners: [0.0; 4],
+                        }),
+                    },
+                }
+            }
+        }
+        for sum in &mut self.sums {
+            sum.resize(cols.len(), 0.0);
+        }
+        self.row.resize(cols.len(), NODATA);
+    }
+}
+
+/// One octave's lattice row on a block row: its index `iy`, the faded
+/// fraction, and the hashes of the lattice rows `iy` and `iy + 1`.
+#[derive(Debug, Clone, Copy)]
+struct LatticeRow {
+    iy: i64,
+    fy: f64,
+    hashes: [u64; 2],
+}
+
+impl LatticeRow {
+    #[inline]
+    fn at(y: f64) -> Self {
+        let y = axis(y);
+        LatticeRow {
+            iy: y.i,
+            fy: y.f,
+            hashes: [row_hash(y.i), row_hash(y.i + 1)],
+        }
+    }
+}
+
+/// Add `amp * noise` of octave `o` to `sum` over the block columns `span`,
+/// walking the octave's column segments: a segment's corners are hashed
+/// only when its lattice row changes, then blended with the fade of each
+/// of its columns in a straight loop.
+#[inline]
+fn add_octave(
+    sum: &mut [f64],
+    o: &Octave,
+    segments: &mut [Segment],
+    fx: &[f64],
+    lat: LatticeRow,
+    span: Range<usize>,
+) {
+    let first = segments.partition_point(|s| s.end <= span.start);
+    for s in &mut segments[first..] {
+        if s.start >= span.end {
+            break;
+        }
+        if s.iy != Some(lat.iy) {
+            s.iy = Some(lat.iy);
+            s.corners = corners(o.seed, s.ix, lat.hashes);
+        }
+        let cols = s.start.max(span.start)..s.end.min(span.end);
+        for (v, &f) in sum[cols.clone()].iter_mut().zip(&fx[cols]) {
+            *v += o.amp * blend(s.corners, f, lat.fy);
+        }
+    }
 }
 
 /// A [`TileSource`] generating synthetic SRTM tiles on demand.
@@ -370,13 +441,10 @@ impl SyntheticSrtm {
 
     /// Generate the `rows × cols` block of cells from `(row0, col0)` and
     /// hand each of its rows, in order, to `emit` with its index in the
-    /// block: [`elevation`] at every cell center, generated row by row.
-    ///
-    /// Each octave's lattice column and fade are computed once per block
-    /// column, its lattice row, fade and row hashes once per block row, and
-    /// its four corners once per lattice cell a row passes through. Every
-    /// per-cell value goes through the same functions, in the same order,
-    /// as [`elevation`], so the cells are bit-identical to it.
+    /// block: [`elevation`] at every cell center, bit for bit, generated
+    /// one row, and within a row one octave, at a time. DESIGN.md
+    /// ("Octave-major terrain synthesis") gives the layout and why its
+    /// cells are bit-identical to the oracle.
     fn block_rows(
         &self,
         row0: usize,
@@ -387,40 +455,77 @@ impl SyntheticSrtm {
     ) {
         let gt = self.grid.transform();
         let (octaves, norms) = octave_table(self.seed);
-        let mut lattice = [Lattice::default(); OCTAVES];
-        let mut row = Vec::with_capacity(cols);
-        COLUMNS.with_borrow_mut(|columns| {
-            columns.clear();
-            for c in col0..col0 + cols {
-                let x = gt.cell_center(row0, c).x;
-                columns.extend(octaves.iter().map(|o| axis((x * o.scale) * o.freq)));
-            }
+        SCRATCH.with_borrow_mut(|s| {
+            s.lay_out(&octaves, gt, col0..col0 + cols);
+            let Scratch {
+                fx,
+                ix,
+                segments,
+                sums: [continent, range, terrain, micro],
+                spans,
+                row,
+            } = s;
+            let fx = |o: usize| &fx[o * cols..(o + 1) * cols];
+            let ix = |o: usize| &ix[(o - MICRO_OCTAVES.start) * cols..][..cols];
             for r in row0..row0 + rows {
-                let y = gt.cell_center(r, col0).y;
-                for (l, o) in lattice.iter_mut().zip(&octaves) {
-                    l.set_row(axis((y * o.scale) * o.freq));
+                let y = gt.cell_center(r, 0).y;
+                let lat: [LatticeRow; OCTAVES] = std::array::from_fn(|o| {
+                    LatticeRow::at((y * octaves[o].scale) * octaves[o].freq)
+                });
+
+                let mut add = |sum: &mut [f64], o: usize, span: Range<usize>| {
+                    add_octave(sum, &octaves[o], &mut segments[o], fx(o), lat[o], span);
+                };
+
+                // The continent field over the whole row, and its land spans.
+                continent.fill(0.0);
+                for o in CONTINENT_OCTAVES {
+                    add(continent, o, 0..cols);
                 }
-                row.clear();
-                for xs in columns.chunks_exact(OCTAVES) {
-                    // Sum each field's octaves in order, as `fbm` does.
-                    let mut k = 0;
-                    let mut field = |f: usize| {
-                        let mut sum = 0.0;
-                        for _ in 0..FIELDS[f].octaves {
-                            let o = &octaves[k];
-                            sum += o.amp * lattice[k].noise(o.seed, xs[k]);
-                            k += 1;
+                for v in continent.iter_mut() {
+                    *v /= norms[0];
+                }
+                spans.clear();
+                let water = |c: usize| continent[c] < OCEAN_LEVEL;
+                let mut c = 0;
+                while let Some(start) = (c..cols).find(|&c| !water(c)) {
+                    c = (start..cols).find(|&c| water(c)).unwrap_or(cols);
+                    spans.push(start..c);
+                }
+
+                row.fill(NODATA);
+                for span in spans.iter() {
+                    for (sum, octs) in [
+                        (&mut *range, RANGE_OCTAVES),
+                        (&mut *terrain, TERRAIN_OCTAVES),
+                    ] {
+                        sum[span.clone()].fill(0.0);
+                        for o in octs {
+                            add(sum, o, span.clone());
                         }
-                        sum / norms[f]
-                    };
-                    let continent = field(0);
-                    row.push(if continent < OCEAN_LEVEL {
-                        NODATA
-                    } else {
-                        land(continent, field(1), field(2), field(3))
-                    });
+                    }
+                    // A micro-relief lattice cell is at most 1/900° wide, so
+                    // below 900 cells/degree every column is in its own. The
+                    // sums get a pass of their own: with `land`'s `powf` call
+                    // in the same loop, synthesis ran about 10% slower.
+                    for c in span.clone() {
+                        let mut sum = 0.0;
+                        for o in MICRO_OCTAVES {
+                            let v = corners(octaves[o].seed, ix(o)[c], lat[o].hashes);
+                            sum += octaves[o].amp * blend(v, fx(o)[c], lat[o].fy);
+                        }
+                        micro[c] = sum;
+                    }
+                    for c in span.clone() {
+                        row[c] = land(
+                            continent[c],
+                            range[c] / norms[1],
+                            terrain[c] / norms[2],
+                            micro[c] / norms[3],
+                        );
+                    }
                 }
-                emit(r - row0, &row);
+                emit(r - row0, row);
             }
         });
     }

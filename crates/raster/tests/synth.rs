@@ -1,13 +1,14 @@
-//! Terrain synthesis: pinned digests of the full catalog and a property
-//! test of the tile and strip generators against the per-point
-//! `elevation` oracle.
+//! Terrain synthesis: pinned digests of the full catalog and property
+//! tests of the tile and strip generators against the per-point
+//! `elevation` oracle, on arbitrary grids and on blocks placed across
+//! coastlines.
 //!
 //! The synthetic SRTM terrain is every workload's input, so its bits are
 //! pinned: the BQ-Tree bitstream goldens, the Table 2 counted rows and the
 //! served answers all derive from it.
 
 use proptest::prelude::*;
-use zonal_raster::srtm::{elevation, SrtmCatalog, SyntheticSrtm};
+use zonal_raster::srtm::{elevation, SrtmCatalog, SyntheticSrtm, NODATA};
 use zonal_raster::{GeoTransform, Tile, TileGrid, TileSource, TileView};
 
 /// Terrain seed of the pinned catalog (the benchmark's terrain).
@@ -65,6 +66,62 @@ fn assemble_strips(src: &SyntheticSrtm, strip_rows: usize) -> Vec<u16> {
         }
     }
     cells
+}
+
+/// Assert that every tile of `src` equals `elevation()` at each of its
+/// cell centers, and that `to_raster()` and strips of `strip_rows` tile
+/// rows (the last one partial) equal the tiles.
+fn assert_matches_oracle(src: &SyntheticSrtm, strip_rows: usize) {
+    let gt = *src.grid().transform();
+    for t in src.grid().iter() {
+        let tile = src.tile(t.tx, t.ty);
+        assert_eq!((tile.rows, tile.cols), (t.rows, t.cols));
+        for dr in 0..t.rows {
+            for dc in 0..t.cols {
+                let p = gt.cell_center(t.row0 + dr, t.col0 + dc);
+                assert_eq!(
+                    tile.get(dr, dc),
+                    elevation(src.seed(), p.x, p.y),
+                    "tile ({},{}) cell ({dr},{dc}) at ({}, {})",
+                    t.tx,
+                    t.ty,
+                    p.x,
+                    p.y
+                );
+            }
+        }
+    }
+    let whole = src.to_raster();
+    assert_eq!(whole.data(), &assemble_tiles(src)[..]);
+    assert_eq!(whole.data(), &assemble_strips(src, strip_rows)[..]);
+}
+
+/// Whether the cell centered at `(x, y)` is land.
+fn is_land(seed: u64, x: f64, y: f64) -> bool {
+    elevation(seed, x, y) != NODATA
+}
+
+/// A column `q` such that exactly one of the cells `q` and `q + 1` is
+/// land, on the row of cell centers at `y` whose column `c` is centered at
+/// `x0 + (c + 0.5) * s`, searched eastward over 360°: `None` when the row
+/// is all land or all water there.
+fn coast(seed: u64, x0: f64, y: f64, s: f64) -> Option<usize> {
+    let land = |c: usize| is_land(seed, x0 + (c as f64 + 0.5) * s, y);
+    let step = ((0.25 / s) as usize).max(1);
+    let first = land(0);
+    let mut hi = (1..=(360.0 / 0.25) as usize)
+        .map(|k| k * step)
+        .find(|&c| land(c) != first)?;
+    let mut lo = hi - step;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if land(mid) == first {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 /// Tile rows per strip in the digest check: the pipeline's default, which
@@ -280,23 +337,74 @@ proptest! {
         let sy = if cpd.is_multiple_of(2) { sx } else { sx * 0.75 };
         let gt = GeoTransform::new(origin(kx, wx, fx, sx), origin(ky, wy, fy, sy), sx, sy);
         let src = SyntheticSrtm::new(TileGrid::new(rows, cols, tile_cells, gt), seed);
-        for t in src.grid().iter() {
-            let tile = src.tile(t.tx, t.ty);
-            prop_assert_eq!((tile.rows, tile.cols), (t.rows, t.cols));
-            for dr in 0..t.rows {
-                for dc in 0..t.cols {
-                    let p = gt.cell_center(t.row0 + dr, t.col0 + dc);
-                    prop_assert_eq!(
-                        tile.get(dr, dc),
-                        elevation(seed, p.x, p.y),
-                        "tile ({},{}) cell ({},{}) at ({}, {})",
-                        t.tx, t.ty, dr, dc, p.x, p.y
-                    );
-                }
+        assert_matches_oracle(&src, strip_rows);
+    }
+
+    /// `tile()`, `strip()` and `to_raster()` equal `elevation()` on blocks
+    /// placed across a coastline, where the generator's land spans begin
+    /// and end: the coast falls at the boundary between two tiles, after
+    /// the first column of a tile whose `col0` is not 0, before its last
+    /// column, or inside it, with tiles 1 to 5 cells wide (1-column tiles
+    /// included) and a ragged last tile. The rows above and below the
+    /// coast's row, and rows searched where no coast exists, are often
+    /// all land or all water.
+    #[test]
+    fn coastline_blocks_match_elevation_oracle(
+        seed in any::<u64>(),
+        start in (-180.0f64..180.0, -60.0f64..60.0),
+        log_cpd in 0.0f64..1.0,
+        tile_cells in 1usize..6,
+        place in (0usize..4, 0usize..5, 0usize..11),
+        strip_rows in 1usize..4,
+    ) {
+        let (x_start, y) = start;
+        let (at, ragged, row) = place;
+        let s = 1.0 / 3600f64.powf(log_cpd).round();
+        let t = tile_cells;
+        // The raster column of `q`: the last of tile 0, the first of tile
+        // 1, the one before tile 1's last, or inside tile 1.
+        let lead = [t - 1, t, 2 * t - 2, t + t / 2][at];
+        let q = coast(seed, x_start, y, s).unwrap_or(lead);
+        let (rows, cols) = (2 * t + 1, 3 * t - ragged % t);
+        let row = row % rows;
+        let gt = GeoTransform::new(
+            x_start + (q as f64 - lead as f64) * s,
+            y - (row as f64 + 0.5) * s,
+            s,
+            s,
+        );
+        let src = SyntheticSrtm::new(TileGrid::new(rows, cols, t, gt), seed);
+        assert_matches_oracle(&src, strip_rows);
+    }
+}
+
+/// One-cell land spans and one-cell water gaps, found at 1 cell/degree
+/// where the coastline is ragged at cell scale, placed at every column of
+/// a tile whose `col0` is not 0, including 1-column tiles: `tile()`,
+/// `strip()` and `to_raster()` equal `elevation()`.
+#[test]
+fn one_cell_spans_match_elevation_oracle() {
+    for pattern in [[false, true, false], [true, false, true]] {
+        let (lon, lat) = (-60i32..60)
+            .flat_map(|lat| (-180i32..177).map(move |lon| (lon, lat)))
+            .find(|&(lon, lat)| {
+                (0..3).all(|k| {
+                    is_land(GOLDEN_SEED, (lon + k) as f64 + 0.5, lat as f64 + 0.5)
+                        == pattern[k as usize]
+                })
+            })
+            .expect("a one-cell span at 1 cell/degree");
+        for t in 1..=4 {
+            for offset in 0..t {
+                // The one-cell span is raster column `t + offset`, in tile 1.
+                let c = t + offset;
+                let gt = GeoTransform::new((lon + 1) as f64 - c as f64, lat as f64 - 1.0, 1.0, 1.0);
+                let src = SyntheticSrtm::new(TileGrid::new(3, 3 * t, t, gt), GOLDEN_SEED);
+                let whole = src.to_raster();
+                let land: Vec<bool> = (c - 1..=c + 1).map(|c| whole.get(1, c) != NODATA).collect();
+                assert_eq!(land, pattern, "the span sits at column {c}");
+                assert_matches_oracle(&src, 1);
             }
         }
-        let whole = src.to_raster();
-        prop_assert_eq!(whole.data(), &assemble_tiles(&src)[..]);
-        prop_assert_eq!(whole.data(), &assemble_strips(&src, strip_rows)[..]);
     }
 }
