@@ -493,8 +493,8 @@ fn ablate_bins(zones: &Zones, cpd: u32, seed: u64) {
     for n_bins in [256, 1024, 5000, 16384] {
         let cfg = paper_cfg(DeviceSpec::gtx_titan()).with_bins(n_bins);
         let r = zonal_core::run_partition(&cfg, zones, &src);
-        let s1 = &r.timings.steps[1];
-        let work = s1.cell_work.merge(&s1.fixed_work);
+        let total = r.timings.total_work();
+        let work = total.cell_work[1].merge(&total.fixed_work[1]);
         println!(
             "{:>7} {:>14} {:>12} {:>12.3} {:>12.3}",
             n_bins,

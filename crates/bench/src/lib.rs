@@ -6,7 +6,7 @@
 //! paper's values, so per-cell work shrinks by `(3600 / cpd)²` while the
 //! geometric structure is unchanged; full-scale figures are obtained by
 //! scaling the counted per-cell work back up (see
-//! `zonal_core::timing::StepTiming`).
+//! `zonal_core::timing::StripWork`).
 
 use zonal_bqtree::{compress_source, BqRaster};
 use zonal_core::pipeline::Zones;

@@ -9,7 +9,7 @@
 //!
 //! Every operation here is `Ordering::Relaxed`, and that is deliberate.
 //! The happens-before model these buffers live under (formalized by
-//! [`crate::sanitizer`]'s epoch semantics) never asks an atomic operation
+//! `sanitizer`'s epoch semantics) never asks an atomic operation
 //! to *publish* anything — cross-thread ordering is always established by
 //! a stronger external edge, one of:
 //!

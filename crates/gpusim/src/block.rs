@@ -9,13 +9,13 @@
 //! With the `sanitize` feature, the block gains two diagnostic upgrades:
 //!
 //! * plain [`SimtBlock::run`] swaps the OS barrier for a
-//!   [`crate::sanitizer::DivergenceBarrier`], so a divergent
+//!   `sanitizer::DivergenceBarrier`, so a divergent
 //!   `__syncthreads` panics with a structured diagnosis (which tids were
 //!   parked, which exited, at which barrier count) instead of hanging
 //!   until a test watchdog kills the process;
-//! * [`SimtBlock::run_sanitized`] additionally records every
+//! * `SimtBlock::run_sanitized` additionally records every
 //!   [`crate::tracked::TrackedBuf`] access into epoch-stamped traces and
-//!   returns a [`crate::sanitizer::BlockReport`] from the happens-before
+//!   returns a `sanitizer::BlockReport` from the happens-before
 //!   race detector and the access-pattern lints.
 //!
 //! Without the feature, `run` is exactly the plain barrier loop it always

@@ -26,7 +26,7 @@
 //!
 //! A third concern rides on the first two: **kernel discipline checking**.
 //! [`tracked`] wraps the atomic buffers so shared-state accesses are
-//! observable, and (under the `sanitize` feature) [`sanitizer`] runs a
+//! observable, and (under the `sanitize` feature) `sanitizer` runs a
 //! happens-before race detector, barrier-divergence diagnosis, and
 //! access-pattern lints over SIMT executions — the cuda-memcheck/racecheck
 //! analogue for this simulated GPU. With the feature off, [`tracked`]

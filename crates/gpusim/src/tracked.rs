@@ -5,7 +5,7 @@
 //! `#[inline]` pass-through — the wrapper is a zero-sized veneer and the
 //! `launch`/`SimtBlock` hot paths pay nothing. With `sanitize` enabled,
 //! each access first consults a thread-local recorder installed by
-//! [`crate::block::SimtBlock::run_sanitized`]; outside a sanitized run the
+//! `SimtBlock::run_sanitized`; outside a sanitized run the
 //! consult is a single thread-local check and the access proceeds
 //! untraced, so the instrumented build still runs the full pipeline.
 //!

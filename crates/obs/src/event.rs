@@ -32,7 +32,7 @@ pub struct Event {
     pub kind: EventKind,
     /// Static event name (span label, marker label, or series name).
     pub name: &'static str,
-    /// Lane (thread) the event belongs to; see [`crate::span`].
+    /// Lane (thread) the event belongs to; see [`crate::span()`].
     pub tid: u32,
     /// Microseconds since the session anchor.
     pub ts_us: f64,

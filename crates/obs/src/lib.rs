@@ -4,7 +4,7 @@
 //! Design goals, in priority order:
 //!
 //! 1. **Zero-allocation disabled path.** Tracing is off by default
-//!    behind one global `AtomicBool`. Every probe — [`span`],
+//!    behind one global `AtomicBool`. Every probe — [`span()`],
 //!    [`instant`], [`sample`], metric updates — starts with a relaxed
 //!    load of that flag and does nothing else when it is clear: no
 //!    clock reads, no allocation, no locks. The `obs-overhead` bench
@@ -77,7 +77,7 @@ pub fn now_us() -> f64 {
     }
 }
 
-/// Default event-ring capacity for [`TraceSession::start`].
+/// Default event-ring capacity for [`start`].
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 18;
 
 /// Guard for an active tracing session. Created by [`start`]; dropping

@@ -38,7 +38,7 @@ pub fn set_lane_name(name: impl Into<String>) {
 }
 
 /// RAII guard recording a [`EventKind::Span`] event from construction to
-/// drop on the calling thread's lane. Construct via [`crate::span`].
+/// drop on the calling thread's lane. Construct via [`crate::span()`].
 ///
 /// With tracing disabled the guard is unarmed: construction is one
 /// relaxed atomic load and drop is a branch — no clock read, no event.

@@ -16,9 +16,11 @@
 //!    effective admission capacity exactly like it raises throughput.
 //!
 //! Both gates reserve optimistically (`fetch_add`) and roll back on
-//! rejection, so concurrent submitters can never oversubscribe.
+//! rejection, so concurrent submitters can never oversubscribe. The
+//! [`Admission`] guard releases both on drop, so no path can leak a slot.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use zonal_gpusim::{CostModel, KernelClass, KernelWork};
 
 use crate::error::ServeError;
@@ -63,6 +65,7 @@ pub fn estimate_partition_sim_secs(model: &CostModel, cells: u64) -> f64 {
 
 /// Shared admission state. One instance per service; all counters are
 /// lock-free.
+#[derive(Debug)]
 pub struct AdmissionController {
     queue_capacity: usize,
     depth: AtomicUsize,
@@ -70,13 +73,23 @@ pub struct AdmissionController {
     outstanding_us: AtomicU64,
 }
 
-/// A successful admission: the queue slot and occupancy reservation.
-/// The service releases it when the request finishes (or is dropped on
-/// shutdown).
-#[derive(Debug, Clone, Copy)]
+/// A successful admission: the queue slot and occupancy reservation,
+/// released when the guard is dropped.
+#[derive(Debug)]
+#[must_use = "dropping an admission releases its slot"]
 pub struct Admission {
+    controller: Arc<AdmissionController>,
     pub estimate_sim_secs: f64,
     estimate_us: u64,
+}
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.controller
+            .outstanding_us
+            .fetch_sub(self.estimate_us, Ordering::Relaxed);
+        self.controller.depth.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl AdmissionController {
@@ -106,7 +119,7 @@ impl AdmissionController {
 
     /// Try to admit a request estimated at `estimate_sim_secs` of
     /// device work. On `Err` nothing is reserved.
-    pub fn try_admit(&self, estimate_sim_secs: f64) -> Result<Admission, ServeError> {
+    pub fn try_admit(self: &Arc<Self>, estimate_sim_secs: f64) -> Result<Admission, ServeError> {
         let prev_depth = self.depth.fetch_add(1, Ordering::Relaxed);
         if prev_depth >= self.queue_capacity {
             self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -133,16 +146,10 @@ impl AdmissionController {
             });
         }
         Ok(Admission {
+            controller: Arc::clone(self),
             estimate_sim_secs,
             estimate_us,
         })
-    }
-
-    /// Release a finished (or abandoned) request's reservations.
-    pub fn release(&self, admission: Admission) {
-        self.outstanding_us
-            .fetch_sub(admission.estimate_us, Ordering::Relaxed);
-        self.depth.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -162,18 +169,18 @@ mod tests {
 
     #[test]
     fn queue_gate_sheds_at_capacity() {
-        let a = AdmissionController::new(2, 1000.0);
+        let a = Arc::new(AdmissionController::new(2, 1000.0));
         let g1 = a.try_admit(1.0).expect("first");
         let _g2 = a.try_admit(1.0).expect("second");
         let err = a.try_admit(1.0).expect_err("third must shed");
         assert!(matches!(err, ServeError::QueueFull { capacity: 2, .. }));
-        a.release(g1);
-        a.try_admit(1.0).expect("slot freed");
+        drop(g1);
+        let _g3 = a.try_admit(1.0).expect("slot freed");
     }
 
     #[test]
     fn occupancy_gate_sheds_and_recovers() {
-        let a = AdmissionController::new(100, 2.0);
+        let a = Arc::new(AdmissionController::new(100, 2.0));
         let g1 = a.try_admit(1.5).expect("fits");
         let err = a.try_admit(1.0).expect_err("would exceed 2.0s");
         match err {
@@ -187,33 +194,31 @@ mod tests {
             }
             other => panic!("wrong error: {other:?}"),
         }
-        a.release(g1);
+        drop(g1);
         assert_eq!(a.depth(), 0);
         assert!(a.outstanding_sim_secs() < 1e-9);
-        a.try_admit(1.0).expect("device drained");
+        let _g2 = a.try_admit(1.0).expect("device drained");
     }
 
     #[test]
     fn oversized_query_admitted_alone() {
         // A single query pricier than the whole budget still runs —
         // on an idle device — instead of being unservable forever.
-        let a = AdmissionController::new(10, 1.0);
-        let g = a.try_admit(5.0).expect("idle device admits");
+        let a = Arc::new(AdmissionController::new(10, 1.0));
+        let _g = a.try_admit(5.0).expect("idle device admits");
         let err = a.try_admit(0.1).expect_err("but nothing rides along");
         assert!(matches!(err, ServeError::Saturated { .. }));
-        a.release(g);
     }
 
     #[test]
     fn concurrent_admission_never_oversubscribes() {
-        let a = AdmissionController::new(16, 1e9);
+        let a = Arc::new(AdmissionController::new(16, 1e9));
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..500 {
-                        if let Ok(g) = a.try_admit(0.001) {
+                        if let Ok(_g) = a.try_admit(0.001) {
                             assert!(a.depth() <= 16);
-                            a.release(g);
                         }
                     }
                 });

@@ -33,6 +33,9 @@ pub enum ServeError {
     /// The service is shutting down (or shut down while the request was
     /// queued); no answer will come.
     ShuttingDown,
+    /// The batch answering the request panicked (a failing tile source,
+    /// say); the message is the panic's. The worker keeps serving.
+    Internal(String),
 }
 
 impl ServeError {
@@ -63,6 +66,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidQuery(why) => write!(f, "invalid query: {why}"),
             ServeError::ShuttingDown => write!(f, "service shutting down"),
+            ServeError::Internal(why) => write!(f, "internal error: {why}"),
         }
     }
 }
@@ -88,6 +92,7 @@ mod tests {
         .is_shed());
         assert!(!ServeError::InvalidQuery("x".into()).is_shed());
         assert!(!ServeError::ShuttingDown.is_shed());
+        assert!(!ServeError::Internal("x".into()).is_shed());
     }
 
     #[test]

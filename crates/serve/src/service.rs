@@ -21,7 +21,10 @@
 //!   queued unboundedly.
 //! * **Graceful drain.** Shutdown stops admitting, then finishes every
 //!   admitted request before joining the pool.
+//! * **Contained failure.** A batch whose pass panics answers each of
+//!   its requests with [`ServeError::Internal`]; its worker serves on.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -110,7 +113,7 @@ impl ServeConfig {
 pub struct ServeStats {
     /// Requests admitted past both gates.
     pub submitted: u64,
-    /// Requests answered.
+    /// Requests answered with histograms.
     pub completed: u64,
     /// Sheds at the queue-depth gate.
     pub shed_queue_full: u64,
@@ -199,7 +202,7 @@ struct Shared {
     store: Arc<RasterStore>,
     cfg: ServeConfig,
     cost: CostModel,
-    admission: AdmissionController,
+    admission: Arc<AdmissionController>,
     cache: ServeCache,
     stats: StatCounters,
     shutting_down: AtomicBool,
@@ -247,7 +250,10 @@ impl ZonalService {
         cfg.validate();
         let shared = Arc::new(Shared {
             cost: CostModel::new(cfg.pipeline.device),
-            admission: AdmissionController::new(cfg.queue_capacity, cfg.max_outstanding_sim_secs),
+            admission: Arc::new(AdmissionController::new(
+                cfg.queue_capacity,
+                cfg.max_outstanding_sim_secs,
+            )),
             cache: ServeCache::new(cfg.cache_capacity),
             stats: StatCounters::default(),
             shutting_down: AtomicBool::new(false),
@@ -355,7 +361,6 @@ impl ZonalService {
             }
         };
         if !sent {
-            self.shared.admission.release(admission);
             return Err(ServeError::ShuttingDown);
         }
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -490,7 +495,9 @@ fn worker_loop(shared: &Shared, work_rx: &Arc<Mutex<Receiver<Batch>>>, index: us
 
 /// Run one coalesced batch: answer the plan from the cache, or run
 /// `run_partitions` once for it and cache the merged histograms, then
-/// fan rows back per request.
+/// fan rows back per request. A pass that panics answers every request
+/// of the batch with [`ServeError::Internal`] and leaves the worker
+/// serving.
 fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     let mut span = zonal_obs::span("serve batch");
     span.arg("band", plan.band as u64)
@@ -511,10 +518,19 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     // Only the batch that fills the cell runs the pass; a batch of the
     // same plan that finds it mid-fill waits here for that pass.
     let mut ran_pass = false;
-    let hists = answer.get_or_init(|| {
-        ran_pass = true;
-        let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
-        run_partitions(&cfg, shared.store.zones(), partitions).hists
+    let hists = catch_unwind(AssertUnwindSafe(|| {
+        answer.get_or_init(|| {
+            ran_pass = true;
+            let cfg = shared.cfg.pipeline.with_bins(plan.n_bins);
+            run_partitions(&cfg, shared.store.zones(), partitions).hists
+        })
+    }))
+    .map_err(|panic| {
+        let why = panic.downcast_ref::<&str>().map(|s| s.to_string());
+        ServeError::Internal(
+            why.or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default(),
+        )
     });
     let n_rows: usize = requests.iter().map(|r| r.zone_ids.len()).sum();
     let (passes, rows) = if ran_pass {
@@ -528,7 +544,7 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
 
     // Fan out: each request gets its zones in request order.
     for request in requests {
-        let resp = QueryResponse {
+        let result = hists.clone().map(|hists| QueryResponse {
             raster_version: snap.version,
             n_bins: plan.n_bins,
             rows: request
@@ -537,10 +553,14 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
                 .map(|&z| (z, hists.window(z as usize).to_dense(plan.n_bins)))
                 .collect(),
             from_cache,
-        };
-        shared.admission.release(request.admission);
-        stats.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = request.reply.send((Ok(resp), Instant::now()));
+        });
+        if result.is_ok() {
+            stats.completed.fetch_add(1, Ordering::Relaxed);
+        }
+        // Release the slot before replying, so a client holding its
+        // answer can be admitted again at once.
+        drop(request.admission);
+        let _ = request.reply.send((result, Instant::now()));
     }
     zonal_obs::gauge("serve_queue_depth").record(shared.admission.depth() as u64);
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 use zonal_core::pipeline::{run_partitions, Zones};
 use zonal_core::PipelineConfig;
 use zonal_geo::{Polygon, PolygonLayer};
-use zonal_raster::{GeoTransform, Raster, TileGrid};
+use zonal_raster::{GeoTransform, Raster, TileData, TileGrid, TileSource};
 use zonal_serve::{
     PartitionSource, RasterStore, ServeConfig, ServeError, ZonalQuery, ZonalService, ZoneSelection,
 };
@@ -352,6 +352,52 @@ fn mixed_plans_do_not_share_passes() {
     }
     let stats = service.shutdown();
     assert_eq!(stats.pipeline_passes, 4, "two plans × two partitions");
+}
+
+/// A partition whose tiles cannot be read: every `tile` call panics.
+struct PanickingSource(TileGrid);
+
+impl TileSource for PanickingSource {
+    fn grid(&self) -> &TileGrid {
+        &self.0
+    }
+
+    fn tile(&self, _tx: usize, _ty: usize) -> TileData {
+        panic!("tile source failed")
+    }
+}
+
+#[test]
+fn panicking_batch_answers_internal_and_frees_its_slot() {
+    let (zones, parts) = fixture(0);
+    let broken = vec![PartitionSource::new(PanickingSource(
+        parts[0].grid().clone(),
+    ))];
+    let store = Arc::new(RasterStore::with_bands(zones, vec![parts, broken]));
+    let mut sc = ServeConfig::new(cfg());
+    sc.queue_capacity = 1;
+    sc.workers = 1;
+    let service = ZonalService::start(Arc::clone(&store), sc);
+
+    let failing = ZonalQuery {
+        band: 1,
+        ..ZonalQuery::all_zones(64)
+    };
+    match service.query(failing) {
+        Err(ServeError::Internal(why)) => assert!(why.contains("tile source failed"), "{why}"),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    // The one queue slot was released and the one worker still serves.
+    let resp = service
+        .query(ZonalQuery::all_zones(64))
+        .expect("band 0 is admitted and answered");
+    let want = direct_rows(&store, 64, &[0, 1, 2]);
+    assert_eq!(resp.rows.len(), 3);
+    for (i, (_, row)) in resp.rows.iter().enumerate() {
+        assert_eq!(row.as_slice(), want[i].as_slice(), "zone {i}");
+    }
+    let stats = service.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (2, 1));
 }
 
 #[test]

@@ -173,8 +173,8 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     let pip_avoided = zonal_obs::counter("pip_tests_avoided");
     let strip_cells = zonal_obs::histogram("strip_cells");
 
-    // Per-strip counters feed both the step totals and the per-strip
-    // stream records, so totals equal the sum over strips exactly.
+    // Per-strip counters feed the per-strip records, the run's only
+    // record of counted work.
     zonal_obs::set_lane_name("compute");
     for strip in 0..n_strips {
         // ----- Step 0: decode (or generate) the strip ---------------------
@@ -267,10 +267,6 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
         sw.fixed_work[1] = s1_fixed.snapshot();
         sw.fixed_work[3] = s3_fixed.snapshot();
         sw.cell_work[4] = s4_cell.snapshot();
-        for i in 0..5 {
-            timings.steps[i].cell_work = timings.steps[i].cell_work.merge(&sw.cell_work[i]);
-            timings.steps[i].fixed_work = timings.steps[i].fixed_work.merge(&sw.fixed_work[i]);
-        }
         timings.strips.push(sw);
     }
 
@@ -280,7 +276,6 @@ pub fn run_partition(cfg: &PipelineConfig, zones: &Zones, source: &impl TileSour
     pip_avoided.add(counts.n_cells.saturating_sub(counts.pip_cells_tested));
 
     let hists = zone_rows.into_histograms();
-    timings.raster_input_bytes = counts.encoded_bytes;
     timings.fixed_input_bytes = zones.device_bytes();
     timings.output_bytes = hists.output_bytes();
 
@@ -477,31 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn step_totals_equal_strip_sums() {
-        let (zones, raster, grid) = simple_setup();
-        let mut cfg = PipelineConfig::test().with_bins(8);
-        cfg.strip_rows = 1; // several strips
-        let r = run_partition(&cfg, &zones, &raster.tile_source(&grid));
-        assert!(r.timings.strips.len() > 1);
-        for i in 0..5 {
-            let cell_sum = r
-                .timings
-                .strips
-                .iter()
-                .fold(KernelWork::default(), |acc, s| acc.merge(&s.cell_work[i]));
-            let fixed_sum = r
-                .timings
-                .strips
-                .iter()
-                .fold(KernelWork::default(), |acc, s| acc.merge(&s.fixed_work[i]));
-            assert_eq!(r.timings.steps[i].cell_work, cell_sum, "step {i}");
-            assert_eq!(r.timings.steps[i].fixed_work, fixed_sum, "step {i}");
-        }
-        let encoded: u64 = r.timings.strips.iter().map(|s| s.encoded_bytes).sum();
-        assert_eq!(r.timings.raster_input_bytes, encoded);
-    }
-
-    #[test]
     fn overlapped_sim_time_beats_serial_here() {
         let (zones, raster, grid) = simple_setup();
         let mut cfg = PipelineConfig::test().with_bins(8);
@@ -587,12 +557,13 @@ mod tests {
         let cfg = PipelineConfig::test().with_bins(n_bins as usize);
         let r = run_partition(&cfg, &zones, &raster.tile_source(&grid));
         assert!(r.counts.inside_pairs > 0);
+        let work = r.timings.total_work();
         assert_eq!(
-            r.timings.steps[1].fixed_work.coalesced_bytes,
+            work.fixed_work[1].coalesced_bytes,
             r.counts.n_tiles * n_bins * 8
         );
         assert_eq!(
-            r.timings.steps[3].fixed_work.coalesced_bytes,
+            work.fixed_work[3].coalesced_bytes,
             r.counts.inside_pairs * n_bins * 12
         );
         assert_eq!(r.timings.output_bytes, zones.len() as u64 * n_bins * 4);

@@ -18,8 +18,8 @@
 //! * a `*_kernel` wrapper that runs the body on a plain [`SimtBlock`]
 //!   (used by the `simt_kernels` integration tests);
 //! * with the `sanitize` feature, a `*_checked` wrapper that runs the body
-//!   under [`SimtBlock::run_sanitized`] and returns the kernel sanitizer's
-//!   [`zonal_gpusim::BlockReport`] — the race/divergence/lint verdict for
+//!   under `SimtBlock::run_sanitized` and returns the kernel sanitizer's
+//!   `zonal_gpusim::BlockReport` — the race/divergence/lint verdict for
 //!   one seeded schedule.
 //!
 //! Device arrays are [`TrackedBufU32`]s named after the paper's device

@@ -1,4 +1,8 @@
 //! Per-step timing, work accounting, and full-scale extrapolation.
+//!
+//! [`StripWork`] is the only record of counted work: the Table 2 step
+//! rows and the serial end-to-end figure price its sums, the overlapped
+//! figure each strip. [`StepTiming`] holds each step's host wall.
 
 use serde::{Deserialize, Serialize};
 use zonal_gpusim::{CostModel, DeviceSpec, KernelClass, KernelWork, StripCost};
@@ -12,66 +16,19 @@ pub const STEP_NAMES: [&str; 5] = [
     "Step 4: cell-in-polygon test and histogram update",
 ];
 
-/// One pipeline step's measured wall time and counted device work.
-///
-/// Work is split into a **cell-proportional** part (scales with raster
-/// resolution: reading/decoding/testing cells) and a **fixed** part (scales
-/// with tile/polygon/bin counts, which the 0.1° tiling keeps
-/// resolution-independent). The split is what makes
-/// [`StepTiming::sim_secs_at_scale`] an honest extrapolation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The paper's CPU-side step (Step 2, tile-in-polygon test): it counts no
+/// device work, and its simulated seconds are its measured host wall.
+pub const CPU_STEP: usize = 2;
+
+/// The device steps, in the order a strip runs them.
+const DEVICE_STEPS: [usize; 4] = [0, 1, 3, 4];
+
+/// One pipeline step's measured host wall time. Its counted device work
+/// is in the per-strip [`StripWork`] records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepTiming {
     /// Real wall-clock seconds of the CPU execution.
     pub wall_secs: f64,
-    /// Work that scales with cell count.
-    pub cell_work: KernelWork,
-    /// Work that does not scale with cell count.
-    pub fixed_work: KernelWork,
-    /// Kernel class for cost-model pricing.
-    pub class: KernelClass,
-    /// True for the paper's CPU-side step (Step 2): simulated time is the
-    /// measured wall time rather than a device cost.
-    pub cpu_side: bool,
-}
-
-impl StepTiming {
-    pub fn new(class: KernelClass) -> Self {
-        StepTiming {
-            wall_secs: 0.0,
-            cell_work: KernelWork::default(),
-            fixed_work: KernelWork::default(),
-            class,
-            cpu_side: false,
-        }
-    }
-
-    pub fn cpu(mut self) -> Self {
-        self.cpu_side = true;
-        self
-    }
-
-    /// Merge another measurement of the same step (accumulating strips or
-    /// partitions).
-    pub fn accumulate(&mut self, other: &StepTiming) {
-        self.wall_secs += other.wall_secs;
-        self.cell_work = self.cell_work.merge(&other.cell_work);
-        self.fixed_work = self.fixed_work.merge(&other.fixed_work);
-    }
-
-    /// Simulated device seconds at the measured scale.
-    pub fn sim_secs(&self, model: &CostModel) -> f64 {
-        self.sim_secs_at_scale(model, 1.0)
-    }
-
-    /// Simulated device seconds with cell-proportional work scaled by
-    /// `cell_factor`.
-    pub fn sim_secs_at_scale(&self, model: &CostModel, cell_factor: f64) -> f64 {
-        if self.cpu_side {
-            return self.wall_secs;
-        }
-        let work = self.cell_work.scale(cell_factor).merge(&self.fixed_work);
-        model.kernel_secs(self.class, &work)
-    }
 }
 
 /// Workload counters the paper's §IV discussion refers to.
@@ -126,9 +83,15 @@ impl PipelineCounts {
     }
 }
 
-/// Counted work of one streaming strip, recorded by the executor so
-/// simulated time can also be priced under CUDA-stream-style overlap
-/// (strip N+1's upload hidden behind strip N's kernels).
+/// Counted work of one streaming strip: the only record of the
+/// pipeline's device work and upload bytes. Step totals are sums of these
+/// records ([`PipelineTimings::total_work`]).
+///
+/// Work is split into a **cell-proportional** part (scales with raster
+/// resolution: reading/decoding/testing cells) and a **fixed** part
+/// (scales with tile/polygon/bin counts, which the 0.1° tiling keeps
+/// resolution-independent). The split is what makes
+/// [`StripWork::step_cost`] an honest extrapolation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StripWork {
     /// Compressed raster bytes uploaded for this strip (Step 0 input).
@@ -136,8 +99,8 @@ pub struct StripWork {
     /// Decoded raster bytes of this strip (for ratio-corrected
     /// extrapolation of the upload size).
     pub raw_bytes: u64,
-    /// Cell-proportional device work per step, paper order (index 2 —
-    /// the CPU-side tile-in-polygon test — is always empty).
+    /// Cell-proportional device work per step, paper order (index
+    /// [`CPU_STEP`] is always empty).
     pub cell_work: [KernelWork; 5],
     /// Resolution-independent device work per step.
     pub fixed_work: [KernelWork; 5],
@@ -153,18 +116,25 @@ pub const STEP_CLASSES: [KernelClass; 5] = [
 ];
 
 impl StripWork {
-    /// Simulated kernel seconds for this strip's device steps (0/1/3/4)
-    /// with cell-proportional work scaled by `cell_factor`.
-    pub fn compute_secs_at_scale(&self, model: &CostModel, cell_factor: f64) -> f64 {
-        [0usize, 1, 3, 4]
-            .iter()
-            .map(|&i| {
-                let work = self.cell_work[i]
-                    .scale(cell_factor)
-                    .merge(&self.fixed_work[i]);
-                model.kernel_secs(STEP_CLASSES[i], &work)
-            })
-            .sum()
+    /// Field-wise sum. Every field is a `u64`, so summing records in
+    /// stream order gives the same totals however they were grouped.
+    fn merge(&self, o: &StripWork) -> StripWork {
+        StripWork {
+            encoded_bytes: self.encoded_bytes + o.encoded_bytes,
+            raw_bytes: self.raw_bytes + o.raw_bytes,
+            cell_work: std::array::from_fn(|i| self.cell_work[i].merge(&o.cell_work[i])),
+            fixed_work: std::array::from_fn(|i| self.fixed_work[i].merge(&o.fixed_work[i])),
+        }
+    }
+
+    /// Step `step`'s work with its cell-proportional part scaled by
+    /// `cell_factor`, and its simulated kernel seconds on `m`: the one
+    /// place counted work is priced.
+    pub fn step_cost(&self, m: &CostModel, step: usize, cell_factor: f64) -> (KernelWork, f64) {
+        let work = self.cell_work[step]
+            .scale(cell_factor)
+            .merge(&self.fixed_work[step]);
+        (work, m.kernel_secs(STEP_CLASSES[step], &work))
     }
 }
 
@@ -172,13 +142,11 @@ impl StripWork {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineTimings {
     pub device: DeviceSpec,
-    /// Steps 0–4, paper order.
+    /// Measured wall of Steps 0–4, paper order.
     pub steps: [StepTiming; 5],
-    /// Per-strip work records in stream order, feeding the overlapped
-    /// end-to-end figures. Step totals equal the sum over strips.
+    /// Per-strip work records in stream order: the only record of counted
+    /// work and raster upload bytes.
     pub strips: Vec<StripWork>,
-    /// Host→device raster bytes (compressed tiles): scales with resolution.
-    pub raster_input_bytes: u64,
     /// Host→device polygon-array bytes: resolution-independent.
     pub fixed_input_bytes: u64,
     /// Device→host zone-histogram bytes: resolution-independent.
@@ -189,15 +157,8 @@ impl PipelineTimings {
     pub fn new(device: DeviceSpec) -> Self {
         PipelineTimings {
             device,
-            steps: [
-                StepTiming::new(KernelClass::Decode),
-                StepTiming::new(KernelClass::Histogram),
-                StepTiming::new(KernelClass::Generic).cpu(),
-                StepTiming::new(KernelClass::Aggregate),
-                StepTiming::new(KernelClass::PipTest),
-            ],
+            steps: [StepTiming::default(); 5],
             strips: Vec::new(),
-            raster_input_bytes: 0,
             fixed_input_bytes: 0,
             output_bytes: 0,
         }
@@ -205,10 +166,9 @@ impl PipelineTimings {
 
     pub fn accumulate(&mut self, other: &PipelineTimings) {
         for (a, b) in self.steps.iter_mut().zip(&other.steps) {
-            a.accumulate(b);
+            a.wall_secs += b.wall_secs;
         }
         self.strips.extend(other.strips.iter().copied());
-        self.raster_input_bytes += other.raster_input_bytes;
         self.fixed_input_bytes += other.fixed_input_bytes;
         self.output_bytes += other.output_bytes;
     }
@@ -217,13 +177,21 @@ impl PipelineTimings {
         CostModel::new(self.device)
     }
 
-    /// Re-price the same measured run on a different device. Work counts
-    /// and CPU-side wall times are device-independent, so a single
-    /// execution yields Table 2 columns for every device.
+    /// Re-price the same measured run on a different device. Strip
+    /// records and the CPU step's wall are device-independent, so a
+    /// single execution yields Table 2 columns for every device.
     pub fn with_device(&self, device: DeviceSpec) -> PipelineTimings {
         let mut t = self.clone();
         t.device = device;
         t
+    }
+
+    /// Counted work of the whole run: the strip records summed in stream
+    /// order.
+    pub fn total_work(&self) -> StripWork {
+        self.strips
+            .iter()
+            .fold(StripWork::default(), |acc, s| acc.merge(s))
     }
 
     /// Simulated per-step device seconds (Table 2 rows) at measured scale.
@@ -233,14 +201,18 @@ impl PipelineTimings {
 
     /// Simulated per-step seconds with cell-proportional work scaled by
     /// `cell_factor` (e.g. `(3600 / cells_per_degree)²` for full-SRTM
-    /// figures).
+    /// figures). Device steps price their summed work, scaled as one
+    /// total; the CPU step's is its measured wall.
     pub fn step_sim_secs_at_scale(&self, cell_factor: f64) -> [f64; 5] {
         let m = self.model();
-        let mut out = [0.0; 5];
-        for (i, s) in self.steps.iter().enumerate() {
-            out[i] = s.sim_secs_at_scale(&m, cell_factor);
-        }
-        out
+        let total = self.total_work();
+        std::array::from_fn(|i| {
+            if i == CPU_STEP {
+                self.steps[i].wall_secs
+            } else {
+                total.step_cost(&m, i, cell_factor).1
+            }
+        })
     }
 
     /// Sum of the five step times ("Runtimes of 5 steps" row of Table 2).
@@ -253,7 +225,8 @@ impl PipelineTimings {
     /// the five steps due to data transfer times").
     pub fn end_to_end_sim_secs_at_scale(&self, cell_factor: f64) -> f64 {
         let m = self.model();
-        let xfer = m.transfer_secs((self.raster_input_bytes as f64 * cell_factor) as u64)
+        let raster_bytes = self.total_work().encoded_bytes;
+        let xfer = m.transfer_secs((raster_bytes as f64 * cell_factor) as u64)
             + m.transfer_secs(self.fixed_input_bytes)
             + m.transfer_secs(self.output_bytes);
         self.steps_total_sim_secs_at_scale(cell_factor) + xfer
@@ -268,7 +241,8 @@ impl PipelineTimings {
     /// strips' kernels ([`CostModel::overlapped_pipeline_secs`]), so most
     /// of the raster transfer hides behind compute. The CPU-side Step 2
     /// and the fixed-size polygon upload / histogram download still pay
-    /// serially — they bracket the stream pipeline.
+    /// serially — they bracket the stream pipeline. With no strip
+    /// records it equals the serial figure.
     ///
     /// Always ≥ the pure compute total (pipeline fill and drain are
     /// real) and ≤ the serial [`PipelineTimings::end_to_end_sim_secs_at_scale`]
@@ -292,15 +266,10 @@ impl PipelineTimings {
 
     fn overlapped_e2e(&self, cell_factor: f64, strip_bytes: impl Fn(&StripWork) -> f64) -> f64 {
         let m = self.model();
-        if self.strips.is_empty() {
-            // No strip records (hand-assembled timings): nothing to overlap.
-            return self.end_to_end_sim_secs_at_scale(cell_factor);
-        }
         let pipeline = m.overlapped_pipeline_secs(&self.strip_costs(&m, cell_factor, strip_bytes));
-        let cpu = self.steps[2].sim_secs_at_scale(&m, cell_factor);
         let fixed_xfer =
             m.transfer_secs(self.fixed_input_bytes) + m.transfer_secs(self.output_bytes);
-        cpu + pipeline + fixed_xfer
+        self.steps[CPU_STEP].wall_secs + pipeline + fixed_xfer
     }
 
     /// Per-strip upload and compute costs on `m`, uploading
@@ -316,7 +285,10 @@ impl PipelineTimings {
             .iter()
             .map(|s| StripCost {
                 transfer_secs: m.transfer_secs_f(strip_bytes(s)),
-                compute_secs: s.compute_secs_at_scale(m, cell_factor),
+                compute_secs: DEVICE_STEPS
+                    .iter()
+                    .map(|&i| s.step_cost(m, i, cell_factor).1)
+                    .sum(),
             })
             .collect()
     }
@@ -358,11 +330,11 @@ impl PipelineTimings {
         let sched = m.overlapped_pipeline_schedule(&strip_costs);
 
         let mut spans = Vec::new();
-        let cpu = self.steps[2].sim_secs_at_scale(&m, cell_factor);
+        let cpu = self.steps[CPU_STEP].wall_secs;
         spans.push(SimSpan {
             tid: HOST.0,
             lane: HOST.1,
-            name: STEP_NAMES[2].to_string(),
+            name: STEP_NAMES[CPU_STEP].to_string(),
             start_secs: 0.0,
             dur_secs: cpu,
             args: vec![],
@@ -400,11 +372,8 @@ impl PipelineTimings {
             // step order; durations sum (in the same order) to
             // `compute_secs`, so the tiling is exact.
             let mut at = base + s.comp_start;
-            for &step in &[0usize, 1, 3, 4] {
-                let w = work.cell_work[step]
-                    .scale(cell_factor)
-                    .merge(&work.fixed_work[step]);
-                let dur = m.kernel_secs(STEP_CLASSES[step], &w);
+            for step in DEVICE_STEPS {
+                let (w, dur) = work.step_cost(&m, step, cell_factor);
                 spans.push(SimSpan {
                     tid: COMPUTE.0,
                     lane: COMPUTE.1,
@@ -441,29 +410,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulate_steps() {
-        let mut a = StepTiming::new(KernelClass::Histogram);
-        a.wall_secs = 1.0;
-        a.cell_work.atomics = 100;
-        let mut b = StepTiming::new(KernelClass::Histogram);
-        b.wall_secs = 2.0;
-        b.cell_work.atomics = 50;
-        b.fixed_work.flops = 7;
-        a.accumulate(&b);
-        assert_eq!(a.wall_secs, 3.0);
-        assert_eq!(a.cell_work.atomics, 150);
-        assert_eq!(a.fixed_work.flops, 7);
-    }
-
-    #[test]
     fn cpu_step_sim_is_wall() {
-        let mut s = StepTiming::new(KernelClass::Generic).cpu();
-        s.wall_secs = 0.123;
-        s.cell_work.flops = u64::MAX / 2; // would be huge if priced
-        let m = CostModel::new(DeviceSpec::gtx_titan());
-        assert_eq!(s.sim_secs(&m), 0.123);
+        let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
+        t.steps[CPU_STEP].wall_secs = 0.123;
+        let mut s = StripWork::default();
+        s.cell_work[1].flops = 1_000_000;
+        t.strips.push(s);
+        assert_eq!(t.step_sim_secs()[CPU_STEP], 0.123);
         assert_eq!(
-            s.sim_secs_at_scale(&m, 1000.0),
+            t.step_sim_secs_at_scale(1000.0)[CPU_STEP],
             0.123,
             "CPU step does not scale"
         );
@@ -471,12 +426,13 @@ mod tests {
 
     #[test]
     fn scaling_multiplies_cell_work_only() {
-        let mut s = StepTiming::new(KernelClass::Histogram);
-        s.cell_work.atomics = 1_000_000;
-        s.fixed_work.atomics = 500_000;
-        let m = CostModel::new(DeviceSpec::gtx_titan());
-        let t1 = s.sim_secs(&m);
-        let t4 = s.sim_secs_at_scale(&m, 4.0);
+        let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
+        let mut s = StripWork::default();
+        s.cell_work[1].atomics = 1_000_000;
+        s.fixed_work[1].atomics = 500_000;
+        t.strips.push(s);
+        let t1 = t.step_sim_secs()[1];
+        let t4 = t.step_sim_secs_at_scale(4.0)[1];
         // 1.5M atomics -> 4.5M atomics: ratio 3, not 4.
         assert!((t4 / t1 - 3.0).abs() < 1e-9);
     }
@@ -484,8 +440,12 @@ mod tests {
     #[test]
     fn end_to_end_exceeds_steps_total() {
         let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
-        t.steps[1].cell_work.atomics = 1_000_000_000;
-        t.raster_input_bytes = 1_000_000_000;
+        let mut s = StripWork {
+            encoded_bytes: 1_000_000_000,
+            ..Default::default()
+        };
+        s.cell_work[1].atomics = 1_000_000_000;
+        t.strips.push(s);
         t.fixed_input_bytes = 1_400_000;
         t.output_bytes = 62_000_000;
         let steps = t.steps_total_sim_secs_at_scale(1.0);
@@ -514,8 +474,7 @@ mod tests {
     #[test]
     fn overlapped_between_compute_total_and_serial() {
         let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
-        // 8 uniform strips, totals mirrored into the step records the way
-        // the executor builds them.
+        // 8 uniform strips.
         for _ in 0..8 {
             let mut s = StripWork {
                 encoded_bytes: 50_000_000,
@@ -526,10 +485,6 @@ mod tests {
             s.cell_work[1].atomics = 200_000_000;
             s.cell_work[4].flops = 1_000_000_000;
             t.strips.push(s);
-            t.steps[0].cell_work = t.steps[0].cell_work.merge(&s.cell_work[0]);
-            t.steps[1].cell_work = t.steps[1].cell_work.merge(&s.cell_work[1]);
-            t.steps[4].cell_work = t.steps[4].cell_work.merge(&s.cell_work[4]);
-            t.raster_input_bytes += s.encoded_bytes;
         }
         t.steps[2].wall_secs = 0.05;
         t.fixed_input_bytes = 1_400_000;
@@ -548,10 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_without_strips_falls_back_to_serial() {
+    fn overlapped_equals_serial_without_strips() {
+        // Both reduce to Step 2's wall plus the fixed transfers.
         let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
-        t.steps[1].cell_work.atomics = 1_000_000_000;
-        t.raster_input_bytes = 1_000_000_000;
+        t.steps[CPU_STEP].wall_secs = 0.05;
+        t.fixed_input_bytes = 1_400_000;
+        t.output_bytes = 62_000_000;
         assert_eq!(t.end_to_end_overlapped_sim_secs(), t.end_to_end_sim_secs());
     }
 
@@ -577,20 +534,21 @@ mod tests {
         let mut a = PipelineTimings::new(DeviceSpec::gtx_titan());
         let mut b = PipelineTimings::new(DeviceSpec::gtx_titan());
         b.steps[4].wall_secs = 2.5;
-        b.raster_input_bytes = 100;
         b.fixed_input_bytes = 7;
-        b.strips.push(StripWork::default());
+        b.strips.push(StripWork {
+            encoded_bytes: 100,
+            ..Default::default()
+        });
         a.accumulate(&b);
         a.accumulate(&b);
         assert_eq!(a.steps[4].wall_secs, 5.0);
-        assert_eq!(a.raster_input_bytes, 200);
+        assert_eq!(a.total_work().encoded_bytes, 200);
         assert_eq!(a.fixed_input_bytes, 14);
         assert_eq!(a.wall_secs(), 5.0);
         assert_eq!(a.strips.len(), 2, "strip records concatenate in order");
     }
 
-    /// Timings with varied per-strip work, built the way the executor
-    /// builds them (step totals = sum over strips).
+    /// Timings with varied per-strip work.
     fn strip_timings(n_strips: u64) -> PipelineTimings {
         let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
         for i in 0..n_strips {
@@ -604,11 +562,6 @@ mod tests {
             s.fixed_work[3].coalesced_bytes = 4_000_000;
             s.cell_work[4].flops = 900_000_000 * (i % 4);
             t.strips.push(s);
-            for step in [0usize, 1, 3, 4] {
-                t.steps[step].cell_work = t.steps[step].cell_work.merge(&s.cell_work[step]);
-                t.steps[step].fixed_work = t.steps[step].fixed_work.merge(&s.fixed_work[step]);
-            }
-            t.raster_input_bytes += s.encoded_bytes;
         }
         t.steps[2].wall_secs = 0.05;
         t.fixed_input_bytes = 1_400_000;

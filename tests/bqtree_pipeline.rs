@@ -46,7 +46,7 @@ fn compressed_source_reports_encoded_bytes() {
     // The pipeline's Step 0 accounting must see the encoded sizes, not raw.
     assert_eq!(comp.counts.encoded_bytes, stats.encoded_bytes);
     assert_eq!(comp.counts.raw_bytes, stats.raw_bytes);
-    assert_eq!(comp.timings.raster_input_bytes, stats.encoded_bytes);
+    assert_eq!(comp.timings.total_work().encoded_bytes, stats.encoded_bytes);
 }
 
 #[test]
