@@ -228,15 +228,8 @@ fn table2(zones: &Zones, cpd: u32, json: Option<&str>) -> zonal_core::PipelineTi
     // compression ratio sampled at native 360×360 tile size (tiny-scale
     // tiles cannot compress — headers and padding dominate).
     let native_ratio = zonal_bench::native_compression_ratio(SEED, 12);
-    let full_encoded = (result.counts.raw_bytes as f64 * f * native_ratio) as u64;
-    let e2e = |t: &zonal_core::PipelineTimings| {
-        let m = zonal_gpusim::CostModel::new(t.device);
-        t.steps_total_sim_secs_at_scale(f)
-            + m.transfer_secs(full_encoded)
-            + m.transfer_secs(t.fixed_input_bytes)
-            + m.transfer_secs(t.output_bytes)
-    };
-    let (qe, ge) = (e2e(&quadro), e2e(titan));
+    let qe = quadro.end_to_end_sim_secs_with_ratio(f, native_ratio);
+    let ge = titan.end_to_end_sim_secs_with_ratio(f, native_ratio);
     println!(
         "{:<52} {:>9.2} {:>9.2} {:>7.2}x | {:>8.1} {:>8.1}",
         "Wall-clock end-to-end (serial transfers)",
@@ -332,22 +325,22 @@ fn fig6(zones: &Zones, cpd: u32, seed: u64) {
     println!("(K20X cost model, measured at {cpd} cells/degree, extrapolated to full scale)\n");
     let base = ClusterConfig::titan(1, cpd, seed);
     let paper: [(usize, f64); 5] = [(1, 60.7), (2, 32.0), (4, 17.5), (8, 10.0), (16, 7.6)];
-    let points = run_scaling(&base, zones, &[1, 2, 4, 8, 16]).expect("scaling sweep");
+    let runs = run_scaling(&base, zones, &[1, 2, 4, 8, 16]).expect("scaling sweep");
     println!(
         "{:>7} {:>12} {:>12} {:>12} {:>10}",
         "nodes", "sim secs", "speedup", "~paper secs", "max/mean"
     );
     hline(58);
-    let t1 = points[0].0.sim_secs;
-    for ((p, _run), (pn, psec)) in points.iter().zip(paper) {
-        assert_eq!(p.n_nodes, pn);
+    let t1 = runs[0].sim_secs;
+    for (run, (n, psec)) in runs.iter().zip(paper) {
+        assert_eq!(run.nodes.len(), n);
         println!(
             "{:>7} {:>12.2} {:>11.2}x {:>12.1} {:>10.2}",
-            p.n_nodes,
-            p.sim_secs,
-            t1 / p.sim_secs,
+            n,
+            run.sim_secs,
+            t1 / run.sim_secs,
             psec,
-            p.imbalance_ratio
+            run.imbalance.max_over_mean
         );
     }
 }

@@ -8,7 +8,6 @@
 
 use serde::Serialize;
 use std::fmt;
-use std::time::Duration;
 
 /// Result alias for cluster operations.
 pub type ClusterResult<T> = Result<T, ClusterError>;
@@ -16,13 +15,6 @@ pub type ClusterResult<T> = Result<T, ClusterError>;
 /// Everything that can go wrong in a cluster run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
-    /// A peer endpoint is gone: its receiver was dropped before the send.
-    SendFailed { from: usize, to: usize },
-    /// No message arrived within the failure-detection window and no
-    /// sender remains that could still deliver one.
-    RecvTimeout { rank: usize, waited: Duration },
-    /// All sender endpoints dropped while a receive was pending.
-    Disconnected { rank: usize },
     /// A worker died (crash fault or thread exit) before reporting.
     NodeCrashed {
         rank: usize,
@@ -34,9 +26,6 @@ pub enum ClusterError {
         expected: u64,
         got: u64,
     },
-    /// Recovery was attempted but gave up (e.g. `Retry` exhausted its
-    /// attempts, or every worker died).
-    RecoveryExhausted { rank: usize, attempts: usize },
     /// Distributed runs diverged: the combined histograms differ between
     /// two configurations that must agree (`run_scaling`).
     ResultMismatch {
@@ -51,22 +40,6 @@ pub enum ClusterError {
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::SendFailed { from, to } => {
-                write!(
-                    f,
-                    "send from rank {from} to rank {to} failed: endpoint dropped"
-                )
-            }
-            ClusterError::RecvTimeout { rank, waited } => {
-                write!(
-                    f,
-                    "rank {rank} receive timed out after {:.3}s",
-                    waited.as_secs_f64()
-                )
-            }
-            ClusterError::Disconnected { rank } => {
-                write!(f, "rank {rank} disconnected: all sender endpoints dropped")
-            }
             ClusterError::NodeCrashed {
                 rank,
                 completed_partitions,
@@ -84,12 +57,6 @@ impl fmt::Display for ClusterError {
                 write!(
                     f,
                     "corrupt payload from rank {from}: checksum {got:#x} != expected {expected:#x}"
-                )
-            }
-            ClusterError::RecoveryExhausted { rank, attempts } => {
-                write!(
-                    f,
-                    "recovery for rank {rank} gave up after {attempts} attempt(s)"
                 )
             }
             ClusterError::ResultMismatch {
@@ -116,16 +83,17 @@ pub enum RecoveryPolicy {
     /// paper's implicit policy, minus the process-wide crash.
     #[default]
     FailFast,
-    /// Re-execute a dead node's share, up to `max_attempts` fresh
-    /// attempts, charging `backoff_secs` of simulated time per retry.
-    Retry {
-        max_attempts: usize,
-        backoff_secs: f64,
-    },
+    /// Re-execute a dead node's share once on the master, charging
+    /// `backoff_secs` of simulated time plus the re-run. Faults are
+    /// one-shot, so the retry runs clean.
+    Retry { backoff_secs: f64 },
     /// Redistribute a dead node's orphaned partitions over the surviving
-    /// workers (round-robin), so the run completes with identical output
-    /// to a fault-free run. Lost or corrupt messages are retransmitted
-    /// under this policy as well.
+    /// workers, charging the longest-processing-time makespan of the
+    /// orphans over the survivors
+    /// ([`reassignment_makespan`](crate::schedule::reassignment_makespan)),
+    /// so the run completes with identical output to a fault-free run.
+    /// Lost or corrupt messages are retransmitted under this policy as
+    /// well.
     Reassign,
 }
 
@@ -161,11 +129,7 @@ mod tests {
     fn policy_recovery_classification() {
         assert!(!RecoveryPolicy::FailFast.recovers());
         assert!(RecoveryPolicy::Reassign.recovers());
-        assert!(RecoveryPolicy::Retry {
-            max_attempts: 2,
-            backoff_secs: 0.1
-        }
-        .recovers());
+        assert!(RecoveryPolicy::Retry { backoff_secs: 0.1 }.recovers());
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::FailFast);
     }
 }

@@ -30,15 +30,6 @@ pub enum MsgFault {
     Corrupt,
 }
 
-/// What the injector tells a sender to do with its next result message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MsgAction {
-    Deliver,
-    Drop,
-    Delay(f64),
-    Corrupt,
-}
-
 /// A reproducible set of faults for one cluster run.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct FaultPlan {
@@ -205,11 +196,6 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires (fault-free run).
-    pub fn inert(n_ranks: usize) -> Self {
-        FaultInjector::new(&FaultPlan::none(), n_ranks)
-    }
-
     /// If `rank` is due to crash this attempt, returns the partition
     /// count after which it dies — and disarms the fault, so the next
     /// attempt (retry) runs clean.
@@ -221,22 +207,19 @@ impl FaultInjector {
         }
     }
 
-    /// The action for `rank`'s next result message; consumed on first
-    /// call, so retransmissions deliver cleanly.
-    pub fn take_msg_action(&self, rank: usize) -> MsgAction {
+    /// The fault on `rank`'s next result message, if any (`None`:
+    /// deliver it). Consumed on first call, so retransmissions deliver
+    /// cleanly.
+    pub fn take_msg_action(&self, rank: usize) -> Option<MsgFault> {
         if rank < self.msg_armed.len() && self.msg_armed[rank].swap(false, Ordering::AcqRel) {
-            match self.msg_fault[rank].expect("armed implies present") {
-                MsgFault::Drop => MsgAction::Drop,
-                MsgFault::Delay(s) => MsgAction::Delay(s),
-                MsgFault::Corrupt => MsgAction::Corrupt,
-            }
+            self.msg_fault[rank]
         } else {
-            MsgAction::Deliver
+            None
         }
     }
 }
 
-/// A result payload as [`MsgAction::Corrupt`] delivers it: one count
+/// A result payload as [`MsgFault::Corrupt`] delivers it: one count
 /// too many in zone 0's bin 0. The checksum covers every count, also of a
 /// payload with no stored rows (a rank that owned no partitions), so the
 /// fault is caught on every payload.
@@ -277,14 +260,10 @@ mod tests {
         let inj = FaultInjector::new(&plan, 4);
         assert_eq!(inj.take_crash_point(2), Some(1));
         assert_eq!(inj.take_crash_point(2), None, "crash is one-shot");
-        assert_eq!(inj.take_msg_action(1), MsgAction::Drop);
-        assert_eq!(
-            inj.take_msg_action(1),
-            MsgAction::Deliver,
-            "msg fault is one-shot"
-        );
+        assert_eq!(inj.take_msg_action(1), Some(MsgFault::Drop));
+        assert_eq!(inj.take_msg_action(1), None, "msg fault is one-shot");
         assert_eq!(inj.take_crash_point(1), None);
-        assert_eq!(inj.take_msg_action(3), MsgAction::Deliver);
+        assert_eq!(inj.take_msg_action(3), None);
     }
 
     #[test]

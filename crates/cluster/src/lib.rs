@@ -8,14 +8,16 @@
 //!
 //! This crate reproduces that shape with threads in place of hosts:
 //!
-//! * [`comm`] — typed point-to-point channels with an MPI-like API and a
-//!   latency/bandwidth network cost model;
+//! * [`comm`] — the latency/bandwidth cost model every message is
+//!   charged on;
 //! * [`node`] — the per-node worker: run the pipeline over the node's
 //!   partitions (for real, on the shared CPU pool) and report simulated
 //!   K20X seconds;
-//! * [`run`] — the one cluster runner: the paper's static partition split
-//!   (`RoundRobin`, `BalancedByCells`) or §IV.C dynamic self-scheduling
-//!   (`Pull`), chosen by [`Assignment`], plus the Fig. 6 scaling sweep;
+//! * [`run`] — the one cluster runner: workers send into the master's one
+//!   inbox, the master answers over per-worker control channels; the
+//!   paper's static partition split (`RoundRobin`, `BalancedByCells`) or
+//!   §IV.C dynamic self-scheduling (`Pull`), chosen by [`Assignment`],
+//!   plus the Fig. 6 scaling sweep;
 //! * [`schedule`] — the analytic scheduling-policy model over measured
 //!   partition costs, which also prices `Pull` runs;
 //! * [`imbalance`] — the load-balance metrics behind the paper's
@@ -40,12 +42,12 @@ pub mod node;
 pub mod run;
 pub mod schedule;
 
-pub use comm::{Cluster, Comm, NetworkModel};
+pub use comm::NetworkModel;
 pub use error::{ClusterError, ClusterResult, RecoveryPolicy};
 pub use fault::{FaultInjector, FaultPlan, MsgFault};
 pub use imbalance::ImbalanceReport;
 pub use node::{NodeInput, NodeReport};
-pub use run::{run_cluster, run_scaling, Assignment, ClusterConfig, ClusterRun, ScalingPoint};
+pub use run::{run_cluster, run_scaling, Assignment, ClusterConfig, ClusterRun};
 pub use schedule::{
     measure_partition_costs, reassignment_makespan, simulate, Policy, ScheduleOutcome,
 };

@@ -3,7 +3,10 @@
 //!
 //! One master state machine serves every [`Assignment`]. Rank 0 runs on
 //! the calling thread beside the master; each other rank is a worker
-//! thread. A work dispenser is the only place execution depends on the
+//! thread. Traffic flows as in the paper's MPI job: every worker sends
+//! its requests and results, tagged with its rank, into the master's one
+//! inbox, and the master answers each worker over that worker's control
+//! channel. A work dispenser is the only place execution depends on the
 //! assignment: a static rank gets its whole share as one batch, a `Pull`
 //! rank one partition per request from a shared queue.
 //!
@@ -23,9 +26,9 @@
 //! a fault-free run; the price of recovery (detection windows, backoff,
 //! re-execution, retransmissions) is charged to `sim_secs`/`comm_secs`.
 
-use crate::comm::{Cluster, Comm, NetworkModel};
+use crate::comm::NetworkModel;
 use crate::error::{ClusterError, ClusterResult, RecoveryPolicy};
-use crate::fault::{corrupted, FaultInjector, FaultPlan, MsgAction};
+use crate::fault::{corrupted, FaultInjector, FaultPlan, MsgFault};
 use crate::imbalance::ImbalanceReport;
 use crate::node::{name_rank_lane, run_node, NodeInput, NodeReport};
 use crate::schedule::{reassignment_makespan, simulate, Policy};
@@ -115,16 +118,7 @@ impl ClusterConfig {
                 self.detect_timeout_secs
             )));
         }
-        if let RecoveryPolicy::Retry {
-            max_attempts,
-            backoff_secs,
-        } = self.recovery
-        {
-            if max_attempts == 0 {
-                return Err(ClusterError::InvalidConfig(
-                    "Retry.max_attempts must be >= 1".into(),
-                ));
-            }
+        if let RecoveryPolicy::Retry { backoff_secs } = self.recovery {
             if !backoff_secs.is_finite() || backoff_secs < 0.0 {
                 return Err(ClusterError::InvalidConfig(format!(
                     "Retry.backoff_secs must be finite and >= 0, got {backoff_secs}"
@@ -210,7 +204,8 @@ impl Share {
     }
 }
 
-/// Worker → master messages.
+/// Worker → master messages, sent into the master's inbox as
+/// `(sender rank, message)`.
 enum ToMaster {
     /// The sender finished its batch and wants the next one.
     Request,
@@ -314,21 +309,21 @@ pub fn run_cluster(cfg: &ClusterConfig, zones: &Zones) -> ClusterResult<ClusterR
         parts: &parts,
         cell_factor: f * f,
     };
-    let comms = Cluster::new::<ToMaster>(cfg.n_nodes)?;
     let injector = FaultInjector::new(&cfg.faults, cfg.n_nodes);
     let mut master = Master::new(&job);
+    // The master keeps a sender of its own, so the inbox never
+    // disconnects: a worker's silence always shows as a timeout.
+    let (to_master, inbox) = unbounded::<(usize, ToMaster)>();
 
     std::thread::scope(|s| {
         // Rank 0 is the master plus a worker on this thread, as in the
         // paper: "the master node was used to combine per-polygon
         // histograms". Every other rank is a thread with a control channel.
-        let mut iter = comms.into_iter();
-        let inbox = iter.next().expect("n_nodes > 0");
-        for comm in iter {
+        for rank in 1..cfg.n_nodes {
             let (tx, rx) = unbounded::<ToWorker>();
-            master.txs[comm.rank()] = Some(tx);
-            let (job, injector) = (&job, &injector);
-            s.spawn(move || worker_body(comm, rx, job, injector));
+            master.txs[rank] = Some(tx);
+            let (to_master, job, injector) = (to_master.clone(), &job, &injector);
+            s.spawn(move || worker_body(rank, &to_master, &rx, job, injector));
         }
         let out = master.run(&inbox);
         // An early (FailFast) return must unblock every waiting worker
@@ -390,16 +385,25 @@ pub fn run_cluster(cfg: &ClusterConfig, zones: &Zones) -> ClusterResult<ClusterR
 
 /// One worker thread: run each assigned batch and ask for more until
 /// released (or until the injected crash point), then transmit the merged
-/// result under the injector's message action and hold it for
-/// retransmission until the master acknowledges it.
-fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector: &FaultInjector) {
-    let rank = comm.rank();
+/// result under the injector's message fault and hold it for
+/// retransmission until the master acknowledges it. A closed control
+/// channel means the run was aborted (FailFast): the worker just exits.
+fn worker_body(
+    rank: usize,
+    to_master: &Sender<(usize, ToMaster)>,
+    rx: &Receiver<ToWorker>,
+    job: &Job,
+    injector: &FaultInjector,
+) {
     name_rank_lane(rank);
     let crash_at = injector.take_crash_point(rank);
     let mut share = Share::empty(rank, job);
     let mut completed = 0;
-    // Sends ignore errors: a dropped master endpoint means the run was
-    // aborted (FailFast) and this worker should just exit.
+    // The master owns the inbox until every worker has exited, so a send
+    // cannot fail.
+    let send = |msg| {
+        let _ = to_master.send((rank, msg));
+    };
     loop {
         match rx.recv() {
             Ok(ToWorker::Assign(batch)) => {
@@ -412,9 +416,7 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
                     break;
                 }
                 share.add(result, report);
-                if comm.try_send(0, ToMaster::Request).is_err() {
-                    return;
-                }
+                send(ToMaster::Request);
             }
             Ok(ToWorker::Done) => break,
             Ok(_) => {} // a probe while computing: nothing to resend yet
@@ -423,8 +425,8 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
     }
     if crash_at.is_some() {
         // Crash fault (also when released before the crash point): die
-        // silently — the endpoints drop and the master's probe finds the
-        // corpse.
+        // silently — the control channel closes and the master's probe
+        // finds the corpse.
         zonal_obs::instant(
             "crash",
             &[
@@ -436,23 +438,21 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
     }
     let checksum = share.hists.checksum();
     let share = Arc::new(share);
-    let send = |share, delay_secs| {
-        let _ = comm.try_send(0, ToMaster::Finished(share, checksum, delay_secs));
-    };
+    let finished = |share, delay_secs| send(ToMaster::Finished(share, checksum, delay_secs));
     match injector.take_msg_action(rank) {
-        MsgAction::Deliver => send(Arc::clone(&share), 0.0),
-        MsgAction::Drop => {
+        None => finished(Arc::clone(&share), 0.0),
+        Some(MsgFault::Drop) => {
             // First transmission lost in the interconnect.
             zonal_obs::instant("message dropped", &[("rank", rank as u64)]);
         }
-        MsgAction::Delay(secs) => {
+        Some(MsgFault::Delay(secs)) => {
             zonal_obs::instant(
                 "message delayed",
                 &[("rank", rank as u64), ("delay_ms", (secs * 1e3) as u64)],
             );
-            send(Arc::clone(&share), secs);
+            finished(Arc::clone(&share), secs);
         }
-        MsgAction::Corrupt => {
+        Some(MsgFault::Corrupt) => {
             zonal_obs::instant("message corrupted", &[("rank", rank as u64)]);
             // Payload mangled in flight; the checksum still describes the
             // original, so the master will catch the mismatch.
@@ -461,13 +461,13 @@ fn worker_body(comm: Comm<ToMaster>, rx: Receiver<ToWorker>, job: &Job, injector
                 hists: corrupted(&share.hists),
                 batch_secs: share.batch_secs.clone(),
             };
-            send(Arc::new(mangled), 0.0);
+            finished(Arc::new(mangled), 0.0);
         }
     }
     // Hold the clean result until the master acknowledges it.
     loop {
         match rx.recv() {
-            Ok(ToWorker::Resend) => send(Arc::clone(&share), 0.0),
+            Ok(ToWorker::Resend) => finished(Arc::clone(&share), 0.0),
             Ok(ToWorker::Ack) | Err(_) => return,
             Ok(_) => {}
         }
@@ -525,7 +525,7 @@ impl<'a> Master<'a> {
     /// between inbox drains and gather the workers' results
     /// fault-tolerantly. Returns early with the first failure under
     /// `FailFast`.
-    fn run(&mut self, inbox: &Comm<ToMaster>) -> ClusterResult<()> {
+    fn run(&mut self, inbox: &Receiver<(usize, ToMaster)>) -> ClusterResult<()> {
         for rank in 1..self.pending.len() {
             self.reply(rank)?;
         }
@@ -538,17 +538,17 @@ impl<'a> Master<'a> {
                 let (result, report) = self.job.run(0, &batch);
                 self.given[0].push(batch);
                 own.add(result, report);
-                while let Ok((from, msg)) = inbox.recv_timeout(Duration::ZERO) {
+                while let Ok((from, msg)) = inbox.try_recv() {
                     self.handle(from, msg)?;
                 }
             }
             if !self.pending.contains(&true) {
                 break;
             }
+            // The inbox never disconnects, so an error is a timeout.
             match inbox.recv_timeout(window) {
                 Ok((from, msg)) => self.handle(from, msg)?,
-                Err(ClusterError::RecvTimeout { .. }) => self.probe()?,
-                Err(e) => return Err(e),
+                Err(_) => self.probe()?,
             }
         }
         self.hists.merge(&own.hists);
@@ -697,7 +697,7 @@ impl<'a> Master<'a> {
         let mut orphan_costs = Vec::new();
         for (rank, share) in shares.into_iter().enumerate() {
             let Some(share) = share else { continue };
-            if let RecoveryPolicy::Retry { backoff_secs, .. } = cfg.recovery {
+            if let RecoveryPolicy::Retry { backoff_secs } = cfg.recovery {
                 // Faults are one-shot, so the first fresh attempt runs clean.
                 zonal_obs::instant("rank retried", &[("rank", rank as u64)]);
                 let (result, mut report) = job.run(rank, &share);
@@ -729,24 +729,15 @@ impl<'a> Master<'a> {
     }
 }
 
-/// One point of the Fig. 6 curve.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingPoint {
-    pub n_nodes: usize,
-    pub sim_secs: f64,
-    pub wall_secs: f64,
-    pub imbalance_ratio: f64,
-}
-
 /// Sweep node counts (the paper uses 1, 2, 4, 8, 16) over the same
-/// workload. The combined result must be identical across node counts —
-/// a divergence is returned as [`ClusterError::ResultMismatch`], not a
-/// panic.
+/// workload, one [`ClusterRun`] per count (the Fig. 6 curve). The combined
+/// result must be identical across node counts — a divergence is returned
+/// as [`ClusterError::ResultMismatch`], not a panic.
 pub fn run_scaling(
     base: &ClusterConfig,
     zones: &Zones,
     node_counts: &[usize],
-) -> ClusterResult<Vec<(ScalingPoint, ClusterRun)>> {
+) -> ClusterResult<Vec<ClusterRun>> {
     let mut reference: Option<(usize, ZoneHistograms)> = None;
     let mut out = Vec::with_capacity(node_counts.len());
     for &n in node_counts {
@@ -764,13 +755,7 @@ pub fn run_scaling(
                 }
             }
         }
-        let point = ScalingPoint {
-            n_nodes: n,
-            sim_secs: run.sim_secs,
-            wall_secs: run.wall_secs,
-            imbalance_ratio: run.imbalance.max_over_mean,
-        };
-        out.push((point, run));
+        out.push(run);
     }
     Ok(out)
 }
@@ -820,11 +805,11 @@ mod tests {
     #[test]
     fn scaling_reduces_time() {
         let zones = tiny_zones();
-        let points = run_scaling(&tiny_cfg(1), &zones, &[1, 4, 8]).unwrap();
-        assert_eq!(points.len(), 3);
-        let t1 = points[0].0.sim_secs;
-        let t4 = points[1].0.sim_secs;
-        let t8 = points[2].0.sim_secs;
+        let runs = run_scaling(&tiny_cfg(1), &zones, &[1, 4, 8]).unwrap();
+        assert_eq!(runs.len(), 3);
+        let t1 = runs[0].sim_secs;
+        let t4 = runs[1].sim_secs;
+        let t8 = runs[2].sim_secs;
         assert!(t4 < t1, "4 nodes beat 1: {t4} vs {t1}");
         assert!(t8 < t4, "8 nodes beat 4: {t8} vs {t4}");
         // Sub-linear beyond perfect scaling is expected (imbalance).
@@ -930,10 +915,7 @@ mod tests {
         let cfg = faulty_cfg(
             4,
             FaultPlan::none().with_crash(1, 0),
-            RecoveryPolicy::Retry {
-                max_attempts: 2,
-                backoff_secs: 0.5,
-            },
+            RecoveryPolicy::Retry { backoff_secs: 0.5 },
         );
         let run = run_cluster(&cfg, &zones).unwrap();
         assert_eq!(run.hists, clean.hists);

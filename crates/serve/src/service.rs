@@ -496,8 +496,8 @@ fn worker_loop(shared: &Shared, work_rx: &Arc<Mutex<Receiver<Batch>>>, index: us
 /// Run one coalesced batch: answer the plan from the cache, or run
 /// `run_partitions` once for it and cache the merged histograms, then
 /// fan rows back per request. A pass that panics answers every request
-/// of the batch with [`ServeError::Internal`] and leaves the worker
-/// serving.
+/// of the batch with [`ServeError::Internal`], evicts the plan's empty
+/// cell and leaves the worker serving.
 fn execute_batch(shared: &Shared, (plan, requests): Batch) {
     let mut span = zonal_obs::span("serve batch");
     span.arg("band", plan.band as u64)
@@ -511,9 +511,8 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
 
     let snap = shared.store.snapshot();
     let partitions = snap.band(plan.band);
-    let answer = shared
-        .cache
-        .get_or_insert_with((snap.version, plan), PlanAnswer::default);
+    let key = (snap.version, plan);
+    let answer = shared.cache.get_or_insert_with(key, PlanAnswer::default);
     let from_cache = answer.get().is_some();
     // Only the batch that fills the cell runs the pass; a batch of the
     // same plan that finds it mid-fill waits here for that pass.
@@ -526,6 +525,11 @@ fn execute_batch(shared: &Shared, (plan, requests): Batch) {
         })
     }))
     .map_err(|panic| {
+        // An empty cell would price the plan as cached at admission. Evict
+        // only this cell: another batch may have inserted a newer one.
+        shared
+            .cache
+            .remove_if(&key, |cell| Arc::ptr_eq(cell, &answer));
         let why = panic.downcast_ref::<&str>().map(|s| s.to_string());
         ServeError::Internal(
             why.or_else(|| panic.downcast_ref::<String>().cloned())

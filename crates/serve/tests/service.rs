@@ -383,10 +383,13 @@ fn panicking_batch_answers_internal_and_frees_its_slot() {
         band: 1,
         ..ZonalQuery::all_zones(64)
     };
-    match service.query(failing) {
+    match service.query(failing.clone()) {
         Err(ServeError::Internal(why)) => assert!(why.contains("tile source failed"), "{why}"),
         other => panic!("expected Internal, got {other:?}"),
     }
+    // The failed pass left no cell behind that admission would price as
+    // cached.
+    assert!(service.estimate_sim_secs(&failing) > 0.0);
     // The one queue slot was released and the one worker still serves.
     let resp = service
         .query(ZonalQuery::all_zones(64))

@@ -224,16 +224,27 @@ impl PipelineTimings {
     /// ("end-to-end runtimes are larger than the total of the runtimes of
     /// the five steps due to data transfer times").
     pub fn end_to_end_sim_secs_at_scale(&self, cell_factor: f64) -> f64 {
-        let m = self.model();
-        let raster_bytes = self.total_work().encoded_bytes;
-        let xfer = m.transfer_secs((raster_bytes as f64 * cell_factor) as u64)
-            + m.transfer_secs(self.fixed_input_bytes)
-            + m.transfer_secs(self.output_bytes);
-        self.steps_total_sim_secs_at_scale(cell_factor) + xfer
+        self.serial_e2e(cell_factor, |w| w.encoded_bytes as f64 * cell_factor)
     }
 
     pub fn end_to_end_sim_secs(&self) -> f64 {
         self.end_to_end_sim_secs_at_scale(1.0)
+    }
+
+    /// Ratio-corrected serial figure for full-scale extrapolation: the
+    /// raster upload is `raw_bytes × cell_factor × ratio` bytes instead of
+    /// the synthetic encoder's output size (Table 2's serial row, priced
+    /// at the native SRTM compression ratio).
+    pub fn end_to_end_sim_secs_with_ratio(&self, cell_factor: f64, ratio: f64) -> f64 {
+        self.serial_e2e(cell_factor, |w| w.raw_bytes as f64 * cell_factor * ratio)
+    }
+
+    fn serial_e2e(&self, cell_factor: f64, raster_bytes: impl Fn(&StripWork) -> f64) -> f64 {
+        let m = self.model();
+        let xfer = m.transfer_secs(raster_bytes(&self.total_work()) as u64)
+            + m.transfer_secs(self.fixed_input_bytes)
+            + m.transfer_secs(self.output_bytes);
+        self.steps_total_sim_secs_at_scale(cell_factor) + xfer
     }
 
     /// End-to-end simulated seconds with stream overlap: strip uploads
@@ -257,9 +268,8 @@ impl PipelineTimings {
 
     /// Ratio-corrected overlapped figure for full-scale extrapolation:
     /// per-strip upload bytes are taken as `raw_bytes × cell_factor ×
-    /// ratio` instead of the synthetic encoder's output size, matching
-    /// how the `tables` bench substitutes the native SRTM compression
-    /// ratio into the serial end-to-end row.
+    /// ratio` instead of the synthetic encoder's output size, as in
+    /// [`PipelineTimings::end_to_end_sim_secs_with_ratio`].
     pub fn end_to_end_overlapped_sim_secs_with_ratio(&self, cell_factor: f64, ratio: f64) -> f64 {
         self.overlapped_e2e(cell_factor, |s| s.raw_bytes as f64 * cell_factor * ratio)
     }
@@ -527,6 +537,27 @@ mod tests {
         let lo = t.end_to_end_overlapped_sim_secs_with_ratio(1.0, 0.1);
         let hi = t.end_to_end_overlapped_sim_secs_with_ratio(1.0, 0.2);
         assert!(hi > lo);
+    }
+
+    #[test]
+    fn ratio_corrected_serial_prices_raw_bytes_at_the_ratio() {
+        let mut t = PipelineTimings::new(DeviceSpec::gtx_titan());
+        let mut s = StripWork {
+            encoded_bytes: 50_000_000,
+            raw_bytes: 400_000_000,
+            ..Default::default()
+        };
+        s.cell_work[0].flops = 3_000_000_000;
+        t.strips = vec![s; 4];
+        t.output_bytes = 62_000_000;
+        // At the run's own ratio (1/8) the upload is the encoded size.
+        for f in [1.0, 324.0] {
+            assert_eq!(
+                t.end_to_end_sim_secs_with_ratio(f, 0.125),
+                t.end_to_end_sim_secs_at_scale(f)
+            );
+        }
+        assert!(t.end_to_end_sim_secs_with_ratio(1.0, 0.25) > t.end_to_end_sim_secs_at_scale(1.0));
     }
 
     #[test]

@@ -25,27 +25,27 @@ fn main() {
     );
 
     let base = ClusterConfig::titan(1, cpd, seed);
-    let points = run_scaling(&base, &zones, &[1, 2, 4, 8, 16]).expect("scaling sweep");
+    let runs = run_scaling(&base, &zones, &[1, 2, 4, 8, 16]).expect("scaling sweep");
 
     println!(
         "{:>7} {:>14} {:>9} {:>11} {:>11} {:>10}",
         "nodes", "sim secs", "speedup", "comm secs", "combine s", "max/mean"
     );
-    let t1 = points[0].0.sim_secs;
-    for (p, run) in &points {
+    let t1 = runs[0].sim_secs;
+    for run in &runs {
         println!(
             "{:>7} {:>14.3} {:>8.2}x {:>11.4} {:>11.4} {:>10.2}",
-            p.n_nodes,
-            p.sim_secs,
-            t1 / p.sim_secs,
+            run.nodes.len(),
+            run.sim_secs,
+            t1 / run.sim_secs,
             run.comm_secs,
             run.combine_secs,
-            p.imbalance_ratio
+            run.imbalance.max_over_mean
         );
     }
 
     // The §IV.C story: which nodes got the coverage-edge partitions?
-    let (_, run16) = points.last().expect("at least one point");
+    let run16 = runs.last().expect("at least one run");
     println!(
         "\nper-node Step-4 edge tests at {} nodes:",
         run16.nodes.len()

@@ -106,10 +106,7 @@ fn corrupt_payload_from_rank_without_partitions_is_caught() {
     let n = 40;
     let mut c = chaos_cfg(n);
     c.faults = FaultPlan::none().with_corrupt(n - 1);
-    c.recovery = RecoveryPolicy::Retry {
-        max_attempts: 1,
-        backoff_secs: 0.0,
-    };
+    c.recovery = RecoveryPolicy::Retry { backoff_secs: 0.0 };
     let run = run_cluster(&c, zones()).unwrap();
     assert_eq!(run.nodes[n - 1].n_partitions, 0, "rank {} is empty", n - 1);
     assert_eq!(run.retransmits, 1, "the corrupt copy is resent once");

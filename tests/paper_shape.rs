@@ -128,8 +128,8 @@ fn fig6_scaling_shape() {
     let mut base = ClusterConfig::titan(1, 8, SEED);
     base.pipeline.tile_deg = 0.5;
     base.pipeline.n_bins = 1000;
-    let pts = run_scaling(&base, zones(), &[1, 2, 8]).expect("scaling sweep");
-    let t: Vec<f64> = pts.iter().map(|(p, _)| p.sim_secs).collect();
+    let runs = run_scaling(&base, zones(), &[1, 2, 8]).expect("scaling sweep");
+    let t: Vec<f64> = runs.iter().map(|r| r.sim_secs).collect();
     // Monotone decreasing.
     for w in t.windows(2) {
         assert!(w[1] < w[0], "more nodes must be faster: {t:?}");
@@ -144,7 +144,7 @@ fn fig6_scaling_shape() {
         "8-node speedup cannot be superlinear under the model"
     );
     // Imbalance grows with node count (paper §IV.C).
-    let im: Vec<f64> = pts.iter().map(|(p, _)| p.imbalance_ratio).collect();
+    let im: Vec<f64> = runs.iter().map(|r| r.imbalance.max_over_mean).collect();
     assert!(im[2] >= im[1], "imbalance grows with nodes: {im:?}");
 }
 
